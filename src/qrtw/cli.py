@@ -360,9 +360,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
 
 
-def _cjson(z: complex) -> list[float] | None:
-    if z != z:
-        return None
+def _cjson(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 

@@ -153,17 +153,12 @@ class BetaDecomposition:
     ``alpha`` real and nonnegative and ``|u| = |v| = 1``.  Only
     ``beta_sq`` feeds the downstream magnitude formulas; the individual
     phases are a documented convention (see :func:`beta_decompose`).
-
-    ``theta`` is a slot for the round-trip phase angle of a barrier
-    pair; it depends on data beyond the coin itself, so the caller that
-    knows the full arrangement stores it here.  It defaults to ``None``.
     """
 
     alpha: float
     beta: complex
     u: complex
     v: complex
-    theta: float | None = None
 
     @property
     def beta_sq(self) -> float:
@@ -224,6 +219,17 @@ def coin_to_json(u: Coin) -> dict[str, list[float]]:
     return {"a": _pair(u.a), "b": _pair(u.b), "c": _pair(u.c), "d": _pair(u.d)}
 
 
+def finite_number(value: Any, what: str) -> float:
+    """``float(value)``, or ModelError naming ``what`` if it is malformed or not finite."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ModelError(f"{what} must be finite, got {number!r}")
+    return number
+
+
 def coin_from_json(data: Any) -> Coin:
     """Rebuild a coin from :func:`coin_to_json` output or a named preset.
 
@@ -234,7 +240,8 @@ def coin_from_json(data: Any) -> Coin:
     Raises
     ------
     ModelError
-        For unrecognized shapes or preset names.
+        For unrecognized shapes or preset names, and for numbers that
+        are malformed or not finite.
     NotUnitary
         When explicit entries fail validation.
     """
@@ -247,15 +254,19 @@ def coin_from_json(data: Any) -> Coin:
         raise ModelError(f"unknown coin preset {data!r}")
     if isinstance(data, dict):
         if set(data) == {"hwp"}:
-            return half_wave_plate(float(data["hwp"]))
+            return half_wave_plate(finite_number(data["hwp"], "hwp angle"))
         if set(data) == {"free"}:
-            p, q = data["free"]
-            return free_coin(float(p), float(q))
+            phases = data["free"]
+            if not isinstance(phases, (list, tuple)) or len(phases) != 2:
+                raise ModelError(f"free coin needs a [p, q] pair, got {phases!r}")
+            return free_coin(*(finite_number(x, "free coin phase") for x in phases))
         try:
             entries = [complex(data[k][0], data[k][1]) for k in ("a", "b", "c", "d")]
         except (KeyError, TypeError, IndexError) as exc:
             raise ModelError(
                 f"coin JSON needs entries a, b, c, d as [re, im] pairs ({exc})"
             ) from exc
+        if not all(map(cmath.isfinite, entries)):
+            raise ModelError(f"coin entries must be finite, got {entries!r}")
         return make_coin(*entries)
     raise ModelError(f"cannot read a coin from a {type(data).__name__}")

@@ -50,7 +50,7 @@ class DegenerateResonance(NumericalDegeneracy):
 
 
 class SingularSystem(NumericalDegeneracy):
-    """The stationary linear system is singular or too ill-conditioned."""
+    """The stationary system has a bounce denominator below 1e-12."""
 
 
 class TrivialBarrier(NumericalDegeneracy):

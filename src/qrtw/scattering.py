@@ -11,9 +11,10 @@ the two barrier sites.
 
 Two independent solvers are provided: :func:`solve_closed_form`
 evaluates the explicit formulas for the double-barrier arrangement, and
-:func:`solve_general` assembles and solves the finite linear system for
-an arbitrary finite set of defect coins, from either side.  They must
-agree on the common domain, which the test suite checks extensively.
+:func:`solve_general` solves the stationarity recursions across the
+hull of an arbitrary finite set of defect coins, from either side, in
+one backward and one forward sweep.  They must agree on the common
+domain, which the test suite checks extensively.
 
 The optional ``delta`` drives the injected wave so that the steady
 state advances by ``exp(i*delta)`` per step under the evolution
@@ -26,13 +27,12 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, coin_from_json, coin_to_json, determinant
+from .coin import Coin, beta_decompose, coin_from_json, coin_to_json, determinant, finite_number
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -45,7 +45,6 @@ from .errors import (
 
 _DEGENERACY_EPS = 1e-12
 _TRIVIAL_EPS = 1e-14
-_COND_LIMIT = 1e12
 
 
 class Method(enum.Enum):
@@ -53,7 +52,6 @@ class Method(enum.Enum):
 
     CLOSED_FORM = "closed_form"
     LINEAR_SYSTEM = "linear_system"
-    SERIES_LIMIT = "series_limit"
 
 
 class Injection(enum.Enum):
@@ -70,6 +68,7 @@ class TunnelingConfig:
     ``p`` and ``q`` are the left- and right-channel phases of the free
     coin, ``barrier`` is the defect coin placed at sites 0 and ``m``
     (``m >= 1``), and ``delta`` is the per-step drive phase (default 0).
+    The three phases must be finite.
     """
 
     p: float
@@ -87,9 +86,8 @@ class TunnelingConfig:
         if int(m) < 1:
             raise ModelError(f"barrier separation m must be >= 1, got {m}")
         object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "p", float(self.p))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "delta", float(self.delta))
+        for name in ("p", "q", "delta"):
+            object.__setattr__(self, name, finite_number(getattr(self, name), name))
 
     @property
     def bc(self) -> complex:
@@ -123,11 +121,7 @@ class StationarySolution:
     ``r`` and ``t`` are the reflected and transmitted amplitudes,
     ``r_tilde`` and ``t_tilde`` the interior amplitudes at the entry
     and exit barrier sites, ``T = |t|**2`` and ``R = |r|**2`` the
-    probabilities.  ``tilde_defined`` is False when the closed form
-    cannot produce the interior amplitudes (a vanishing barrier
-    diagonal makes their defining quotients singular); they are NaN in
-    that case and :func:`build_profile` falls back to the linear
-    system, which stays well posed.
+    probabilities.
     """
 
     r: complex
@@ -139,7 +133,6 @@ class StationarySolution:
     method: Method
     injection: Injection
     delta: float
-    tilde_defined: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,9 +187,11 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
         t = d**2 * exp(-2i(q+delta)) / (1 - bc*D)
         r = b * exp(ip) * (1 + det(U)*D) / (1 - bc*D)
 
-    The interior amplitudes follow from the driven recursions,
-    ``r_tilde = (r*exp(-ip) - b)/a`` and
-    ``t_tilde = t*exp(i(q+delta)(m+1))/d``.
+    The interior amplitudes follow from the driven recursions without
+    dividing by a coin entry::
+
+        t_tilde = d * exp(i(q+delta)(m-1)) / (1 - bc*D)
+        r_tilde = b * exp(ip(m-1)) * t_tilde
 
     Raises
     ------
@@ -215,12 +210,8 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
     qe = cfg.q_shifted
     t = u.d * u.d * cmath.exp(-2j * qe) / den
     r = u.b * cmath.exp(1j * cfg.p) * (1.0 + determinant(u) * cfg.loop_det) / den
-    tilde_defined = min(abs(u.a), abs(u.d)) >= _TRIVIAL_EPS
-    if tilde_defined:
-        r_tilde = (r * cmath.exp(-1j * cfg.p) - u.b) / u.a
-        t_tilde = t * cmath.exp(1j * qe * (cfg.m + 1)) / u.d
-    else:
-        r_tilde = t_tilde = complex("nan+nanj")
+    t_tilde = u.d * cmath.exp(1j * qe * (cfg.m - 1)) / den
+    r_tilde = u.b * cmath.exp(1j * cfg.p * (cfg.m - 1)) * t_tilde
     return StationarySolution(
         r=r,
         t=t,
@@ -231,71 +222,88 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
         method=Method.CLOSED_FORM,
         injection=Injection.LEFT,
         delta=cfg.delta,
-        tilde_defined=tilde_defined,
     )
+
+
+def _plane_wave_window(
+    window: tuple[int, int], x_lo: int, x_hi: int, r: complex, t: complex,
+    p: float, qe: float, injection: Injection,
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Window arrays ``(lo, hi, psi_l, psi_r)`` holding the free-region
+    plane waves around the hull ``[x_lo, x_hi]``, whose sites stay zero
+    for the caller to fill.  With ``qe = q + delta``, left injection is::
+
+        x < x_lo:   [r*exp(-ip(x+2)),         exp(i*qe*x)]
+        x > x_hi:   [0,                       t*exp(i*qe*x)]
+
+    and right injection::
+
+        x < x_lo:   [t*exp(-ip(x-x_lo+1)),    0]
+        x > x_hi:   [exp(-ip(x-x_hi)),        r*exp(i*qe*(x-x_hi-1))]
+
+    The left-channel exponents decrease with ``x`` because a stationary
+    left mover in the free region must reproduce itself under the coin
+    phase ``exp(ip)`` applied while moving leftward.  Raises
+    WindowTooSmall if the window does not contain ``[x_lo-1, x_hi+1]``.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    if lo > x_lo - 1 or hi < x_hi + 1:
+        raise WindowTooSmall(
+            f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
+        )
+    psi_l = np.zeros(hi - lo + 1, dtype=complex)
+    psi_r = np.zeros(hi - lo + 1, dtype=complex)
+    left = injection is Injection.LEFT
+    for x in range(lo, x_lo):
+        if left:
+            psi_l[x - lo] = r * cmath.exp(-1j * p * (x + 2))
+            psi_r[x - lo] = cmath.exp(1j * qe * x)
+        else:
+            psi_l[x - lo] = t * cmath.exp(-1j * p * (x - x_lo + 1))
+    for x in range(x_hi + 1, hi + 1):
+        if left:
+            psi_r[x - lo] = t * cmath.exp(1j * qe * x)
+        else:
+            psi_l[x - lo] = cmath.exp(-1j * p * (x - x_hi))
+            psi_r[x - lo] = r * cmath.exp(1j * qe * (x - x_hi - 1))
+    return lo, hi, psi_l, psi_r
 
 
 def build_profile(
     sol: StationarySolution, cfg: TunnelingConfig, window: tuple[int, int]
 ) -> AmplitudeProfile:
-    """Lay the piecewise steady state onto a window of sites.
+    """Lay a left-injection steady state onto a window of sites.
 
-    For left injection the five branches are, with ``qe = q + delta``::
+    Outside ``[0, m]`` the free-region plane waves of
+    :func:`_plane_wave_window` apply; inside, with ``qe = q + delta``::
 
-        x <= -1:    [r*exp(-ip(x+2)),        exp(i*qe*x)]
         x == 0:     [r_tilde,                1]
         0 < x < m:  [r_tilde*exp(-ipx),      t_tilde*exp(i*qe*(x-m))]
         x == m:     [0,                      t_tilde]
-        x >= m+1:   [0,                      t*exp(i*qe*x)]
-
-    The left-channel exponents decrease with ``x`` because a stationary
-    left mover in the free region must reproduce itself under the coin
-    phase ``exp(ip)`` applied while moving leftward.
-
-    When ``sol`` has no interior amplitudes (``tilde_defined`` False)
-    or came from right injection, the profile is produced by
-    :func:`solve_general` instead, which needs no quotients.
 
     Raises
     ------
+    ModelError
+        If ``sol`` came from right injection; :func:`solve_general`
+        returns that profile itself.
     WindowTooSmall
         If the window does not contain ``[-1, m+1]``.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > -1 or hi < cfg.m + 1:
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] must contain [-1, {cfg.m + 1}]"
+    if sol.injection is not Injection.LEFT:
+        raise ModelError(
+            "build_profile lays out left-injection solutions only; "
+            "solve_general returns the right-injection profile"
         )
-    if not sol.tilde_defined or sol.injection is Injection.RIGHT:
-        _, profile = solve_general(
-            {0: cfg.barrier, cfg.m: cfg.barrier},
-            cfg.delta,
-            sol.injection,
-            cfg.p,
-            cfg.q,
-            window=(lo, hi),
-        )
-        return profile
-    qe = cfg.q_shifted
-    m = cfg.m
-    n = hi - lo + 1
-    psi_l = np.zeros(n, dtype=complex)
-    psi_r = np.zeros(n, dtype=complex)
-    for i in range(n):
-        x = lo + i
-        if x <= -1:
-            psi_l[i] = sol.r * cmath.exp(-1j * cfg.p * (x + 2))
-            psi_r[i] = cmath.exp(1j * qe * x)
-        elif x == 0:
-            psi_l[i] = sol.r_tilde
-            psi_r[i] = 1.0
-        elif x < m:
-            psi_l[i] = sol.r_tilde * cmath.exp(-1j * cfg.p * x)
-            psi_r[i] = sol.t_tilde * cmath.exp(1j * qe * (x - m))
-        elif x == m:
-            psi_r[i] = sol.t_tilde
-        else:
-            psi_r[i] = sol.t * cmath.exp(1j * qe * x)
+    m, qe = cfg.m, cfg.q_shifted
+    lo, hi, psi_l, psi_r = _plane_wave_window(
+        window, 0, m, sol.r, sol.t, cfg.p, qe, Injection.LEFT
+    )
+    psi_l[-lo] = sol.r_tilde
+    psi_r[-lo] = 1.0
+    for x in range(1, m):
+        psi_l[x - lo] = sol.r_tilde * cmath.exp(-1j * cfg.p * x)
+        psi_r[x - lo] = sol.t_tilde * cmath.exp(1j * qe * (x - m))
+    psi_r[m - lo] = sol.t_tilde
     return AmplitudeProfile(x_min=lo, x_max=hi, psi_l=psi_l, psi_r=psi_r)
 
 
@@ -310,12 +318,17 @@ def solve_general(
     """Solve the steady state for an arbitrary finite defect set.
 
     ``coins`` maps lattice positions to defect coins; every other site
-    applies the free coin.  The unknowns are the two-channel amplitudes
-    across the defect hull plus the reflected and transmitted
-    amplitudes, tied together by the stationarity recursions and the
-    scattering boundary data (unit incoming plane wave on the injection
-    side, nothing incoming on the other).  ``delta`` has the same
-    driven-state meaning as in :class:`TunnelingConfig`.
+    applies the free coin.  The stationarity recursions across the
+    defect hull, driven by a unit plane wave from the injection side,
+    are solved in two sweeps (the Redheffer star product taken one site
+    at a time).  The backward pass builds the reflection seen from the
+    left of each site from that of the site to its right, zero past the
+    hull: ``refl = b + a*d*refl' / (1 - c*refl')``.  The forward pass
+    carries the right mover, ``psi_r' = d*psi_r / (1 - c*refl')``, and
+    reads off the left mover ``psi_l = refl'*psi_r'``.  Right injection
+    runs the sweeps on the mirror image ``x -> -x``, which maps the coin
+    entries ``(a, b, c, d)`` to ``(d, c, b, a)`` and swaps ``p`` with
+    ``q + delta``.  ``delta`` is the drive phase of :class:`TunnelingConfig`.
 
     Returns the solution together with a profile on ``window``
     (default: the defect hull padded by 5 sites).
@@ -323,8 +336,8 @@ def solve_general(
     Raises
     ------
     SingularSystem
-        When the assembled system is singular or its condition estimate
-        exceeds 1e12, which is how a degenerate resonance shows up here.
+        When a bounce denominator ``|1 - c*refl'|`` falls below 1e-12,
+        which is how a degenerate resonance shows up here.
     """
     if not coins:
         raise ModelError("need at least one defect coin")
@@ -333,133 +346,60 @@ def solve_general(
             raise ModelError(f"defect position {pos!r} is not an integer")
         if not isinstance(u, Coin):
             raise ModelError(f"defect at {pos} is not a Coin")
-    x_lo = int(min(coins))
-    x_hi = int(max(coins))
-    n = x_hi - x_lo + 1
+    x_lo, x_hi = int(min(coins)), int(max(coins))
     qe = q + delta
-    ea = cmath.exp(1j * p)
-    ed = cmath.exp(1j * qe)
-
-    def site(x: int) -> tuple[complex, complex, complex, complex]:
-        u = coins.get(x)
-        if u is None:
-            return (ea, 0j, 0j, ed)
-        return (u.a, u.b, u.c, u.d)
-
-    size = 2 * n + 2
-    col_r = 2 * n
-    col_t = 2 * n + 1
-    mat = np.zeros((size, size), dtype=complex)
-    rhs = np.zeros(size, dtype=complex)
-    row = 0
-
-    a0, b0, _, _ = site(x_lo)
-    mat[row, 0] = a0
-    mat[row, n] = b0
     if injection is Injection.LEFT:
-        # left-channel outflow at x_lo - 1 is the reflected wave
-        mat[row, col_r] = -cmath.exp(-1j * p * (x_lo + 1))
+        incoming = cmath.exp(1j * qe * x_lo)
+        free = (cmath.exp(1j * p), 0j, 0j, cmath.exp(1j * qe))
+        sites = [
+            free if u is None else (u.a, u.b, u.c, u.d)
+            for u in map(coins.get, range(x_lo, x_hi + 1))
+        ]
     else:
-        # for right injection the leftward outflow is the transmitted wave
-        mat[row, col_t] = -1.0
-    row += 1
-
-    for x in range(x_lo, x_hi):
-        i = x - x_lo
-        an, bn, _, _ = site(x + 1)
-        mat[row, i] = 1.0
-        mat[row, i + 1] = -an
-        mat[row, n + i + 1] = -bn
-        row += 1
-
-    mat[row, n - 1] = 1.0
-    rhs[row] = 0.0 if injection is Injection.LEFT else 1.0
-    row += 1
-
-    for x in range(x_lo + 1, x_hi + 1):
-        i = x - x_lo
-        _, _, cp, dp = site(x - 1)
-        mat[row, n + i] = 1.0
-        mat[row, i - 1] = -cp
-        mat[row, n + i - 1] = -dp
-        row += 1
-
-    _, _, ch, dh = site(x_hi)
-    mat[row, n - 1] = ch
-    mat[row, 2 * n - 1] = dh
+        incoming = 1 + 0j
+        free = (cmath.exp(1j * qe), 0j, 0j, cmath.exp(1j * p))
+        sites = [
+            free if u is None else (u.d, u.c, u.b, u.a)
+            for u in map(coins.get, range(x_hi, x_lo - 1, -1))
+        ]
+    refl = [0j] * (len(sites) + 1)
+    for i in range(len(sites) - 1, -1, -1):
+        a, b, c, d = sites[i]
+        den = 1.0 - c * refl[i + 1]
+        if abs(den) < _DEGENERACY_EPS:
+            raise SingularSystem(f"bounce denominator {abs(den):.3e} below {_DEGENERACY_EPS:.0e}")
+        refl[i] = b + a * d * refl[i + 1] / den
+    fwd_l, fwd_r = [], [incoming]
+    for (_, _, c, d), rq in zip(sites, refl[1:]):
+        fwd_r.append(d * fwd_r[-1] / (1.0 - c * rq))
+        fwd_l.append(rq * fwd_r[-1])
+    out_r = fwd_r.pop()
     if injection is Injection.LEFT:
-        mat[row, col_t] = -cmath.exp(1j * qe * (x_hi + 1))
+        r = refl[0] * incoming * cmath.exp(1j * p * (x_lo + 1))
+        t = out_r * cmath.exp(-1j * qe * (x_hi + 1))
+        phi_l, phi_r = fwd_l, fwd_r
     else:
-        mat[row, col_r] = -1.0
-    row += 1
-
-    mat[row, n] = 1.0
-    rhs[row] = cmath.exp(1j * qe * x_lo) if injection is Injection.LEFT else 0.0
-
-    cond = np.linalg.cond(mat)
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularSystem(
-            f"stationary system is singular or near-singular "
-            f"(condition estimate {cond:.3e}); degenerate resonance"
-        )
-    try:
-        sol_vec = np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"stationary system is singular ({exc})") from exc
-
-    phi_l = sol_vec[:n]
-    phi_r = sol_vec[n : 2 * n]
-    r = complex(sol_vec[col_r])
-    t = complex(sol_vec[col_t])
-    if injection is Injection.LEFT:
-        r_tilde = complex(phi_l[0])
-        t_tilde = complex(phi_r[-1])
-    else:
-        r_tilde = complex(phi_r[-1])
-        t_tilde = complex(phi_l[0])
+        r, t = refl[0], out_r
+        phi_l, phi_r = fwd_r[::-1], fwd_l[::-1]
 
     if window is None:
         window = (x_lo - 5, x_hi + 5)
-    lo, hi = int(window[0]), int(window[1])
-    if lo > x_lo - 1 or hi < x_hi + 1:
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
-        )
-    w = hi - lo + 1
-    psi_l = np.zeros(w, dtype=complex)
-    psi_r = np.zeros(w, dtype=complex)
-    for idx in range(w):
-        x = lo + idx
-        if x_lo <= x <= x_hi:
-            psi_l[idx] = phi_l[x - x_lo]
-            psi_r[idx] = phi_r[x - x_lo]
-        elif x < x_lo:
-            if injection is Injection.LEFT:
-                psi_l[idx] = r * cmath.exp(-1j * p * (x + 2))
-                psi_r[idx] = cmath.exp(1j * qe * x)
-            else:
-                psi_l[idx] = t * cmath.exp(-1j * p * (x - x_lo + 1))
-        else:
-            if injection is Injection.LEFT:
-                psi_r[idx] = t * cmath.exp(1j * qe * x)
-            else:
-                psi_l[idx] = cmath.exp(-1j * p * (x - x_hi))
-                psi_r[idx] = r * cmath.exp(1j * qe * (x - x_hi - 1))
+    lo, hi, psi_l, psi_r = _plane_wave_window(window, x_lo, x_hi, r, t, p, qe, injection)
+    psi_l[x_lo - lo : x_hi - lo + 1] = phi_l
+    psi_r[x_lo - lo : x_hi - lo + 1] = phi_r
 
     solution = StationarySolution(
         r=r,
         t=t,
-        r_tilde=r_tilde,
-        t_tilde=t_tilde,
+        r_tilde=fwd_l[0],
+        t_tilde=fwd_r[-1],
         T=abs(t) ** 2,
         R=abs(r) ** 2,
         method=Method.LINEAR_SYSTEM,
         injection=injection,
         delta=float(delta),
-        tilde_defined=True,
     )
-    profile = AmplitudeProfile(x_min=lo, x_max=hi, psi_l=psi_l, psi_r=psi_r)
-    return solution, profile
+    return solution, AmplitudeProfile(x_min=lo, x_max=hi, psi_l=psi_l, psi_r=psi_r)
 
 
 def resonance_residual(cfg: TunnelingConfig) -> float:

@@ -16,11 +16,15 @@ import math
 from qrtw import Coin, TunnelingConfig, make_coin
 
 
-def random_unitary(rng, bc_mag: float | None = None) -> Coin:
-    """One coin from the 4-parameter family; |bc| fixed when given."""
-    if bc_mag is None:
-        bc_mag = rng.uniform(0.0, 1.0)
-    th = math.asin(math.sqrt(bc_mag))
+def random_unitary(rng, bc_mag: float | None = None, a_mag: float | None = None) -> Coin:
+    """One coin from the 4-parameter family; |bc| fixed when given, or
+    else the diagonal modulus |a| = |d| when that is given."""
+    if a_mag is not None:
+        th = math.acos(a_mag)
+    else:
+        if bc_mag is None:
+            bc_mag = rng.uniform(0.0, 1.0)
+        th = math.asin(math.sqrt(bc_mag))
     f1, f2, g = rng.uniform(0.0, 2.0 * math.pi, size=3)
     a = cmath.exp(1j * f1) * math.cos(th)
     b = cmath.exp(1j * f2) * math.sin(th)

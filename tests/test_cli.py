@@ -96,6 +96,22 @@ def test_exit_code_model_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flag", ["--p=nan", "--q=-inf", "--delta=inf"])
+def test_non_finite_phase_is_model_error(capsys, flag):
+    code, out, err = _run(capsys, "stationary", "--barrier", "hadamard", flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw:") and "finite" in err
+
+
+@pytest.mark.parametrize("barrier", ['{"free": [1, 2, 3]}', '{"hwp": "x"}'])
+def test_malformed_coin_preset_is_model_error(capsys, barrier):
+    code, _, err = _run(capsys, "stationary", "--barrier", barrier)
+    assert code == 2
+    assert err.startswith("qrtw:")
+    assert "Traceback" not in err
+
+
 def test_exit_code_degeneracy(capsys):
     code, _, err = _run(
         capsys,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config, random_unitary
+from dense_oracle import dense_solve
 from qrtw import (
     AmplitudeProfile,
     DegenerateResonance,
@@ -181,9 +182,55 @@ def test_full_reflector_off_resonance_matches_general():
     sol = solve_closed_form(cfg)
     assert sol.T == pytest.approx(0.0)
     assert abs(sol.r) == pytest.approx(1.0)
-    assert not sol.tilde_defined
     prof = build_profile(sol, cfg, (-5, 7))
     assert _recursion_residual(prof, cfg) < 1e-12
+    _, gen_prof = solve_general({0: swap, 2: swap}, 0.0, Injection.LEFT, cfg.p, cfg.q, window=(-5, 7))
+    assert profile_max_difference(prof, gen_prof) < 1e-12
+
+
+@pytest.mark.parametrize("a_mag", [1e-4, 1e-10, 1e-13])
+def test_closed_form_profile_holds_precision_as_diagonal_vanishes(a_mag):
+    # the interior amplitudes carry no quotient by a or d, so nothing is lost as |a| -> 0
+    rng = np.random.default_rng(139)
+    for _ in range(10):
+        u = random_unitary(rng, a_mag=a_mag)
+        p, q, delta = rng.uniform(-math.pi, math.pi, 3)
+        cfg = TunnelingConfig(p=p, q=q, barrier=u, m=int(rng.integers(1, 9)), delta=delta)
+        _, gen_prof = solve_general({0: u, cfg.m: u}, delta, Injection.LEFT, p, q)
+        closed_prof = build_profile(solve_closed_form(cfg), cfg, gen_prof.window)
+        assert profile_max_difference(closed_prof, gen_prof) < 1e-12
+
+
+def test_build_profile_rejects_right_injection():
+    cfg = TunnelingConfig(p=0.7, q=0.2, barrier=hadamard(), m=3)
+    sol, _ = solve_general({0: cfg.barrier, 3: cfg.barrier}, 0.0, Injection.RIGHT, cfg.p, cfg.q)
+    with pytest.raises(ModelError):
+        build_profile(sol, cfg, (-5, 8))
+
+
+def test_general_solver_matches_dense_oracle():
+    # |bc| <= 0.9 as in random_config: stronger cavities amplify input rounding
+    # in every solver alike, past 1e-12
+    rng = np.random.default_rng(211)
+    for k in range(200):
+        hull = int(rng.integers(1, 41))
+        x0 = int(rng.integers(-20, 21))
+        inner = rng.integers(x0, x0 + hull, size=int(rng.integers(0, 7))).tolist()
+        coins = {
+            x: random_unitary(rng, rng.uniform(0.0, 0.9))
+            for x in sorted({x0, x0 + hull - 1, *inner})
+        }
+        delta = rng.uniform(-math.pi, math.pi) if k % 2 else 0.0
+        p, q = rng.uniform(-math.pi, math.pi, 2)
+        for injection in Injection:
+            r, t, psi_l, psi_r = dense_solve(coins, delta, injection, p, q)
+            sol, prof = solve_general(coins, delta, injection, p, q)
+            assert sol.injection is injection
+            assert abs(sol.r - r) < 1e-12
+            assert abs(sol.t - t) < 1e-12
+            hull_sites = slice(x0 - prof.x_min, x0 - prof.x_min + hull)
+            assert np.max(np.abs(prof.psi_l[hull_sites] - psi_l)) < 1e-12
+            assert np.max(np.abs(prof.psi_r[hull_sites] - psi_r)) < 1e-12
 
 
 def test_build_profile_window_too_small():
