@@ -341,6 +341,15 @@ def parse_config(argv=None) -> RunConfig:
     return rc
 
 
+_WRITE_SLICE = 1 << 20
+
+
+def _write_text(fh, text: str) -> None:
+    """Write ``text`` in slices, so the encoder never copies all of it at once."""
+    for i in range(0, len(text), _WRITE_SLICE):
+        fh.write(text[i : i + _WRITE_SLICE])
+
+
 def _write_atomic(path: str, text: str) -> None:
     """Write the whole artifact, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
@@ -350,7 +359,7 @@ def _write_atomic(path: str, text: str) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_text(fh, text)
         os.replace(tmp, path)
     except OSError as exc:
         try:
@@ -438,7 +447,7 @@ def _run_evolve(rc: RunConfig) -> int:
 
 
 def _run_spectrum(rc: RunConfig) -> int:
-    samples = spectrum_scan(
+    spec = spectrum_scan(
         rc.alpha, rc.s, rc.gm, rc.k_min, rc.k_max, rc.n_points, threads=rc.threads
     )
     if rc.fmt == "json":
@@ -446,16 +455,16 @@ def _run_spectrum(rc: RunConfig) -> int:
             "alpha": rc.alpha,
             "s": rc.s,
             "m": rc.gm,
-            "k": [smp.k for smp in samples],
-            "T": [smp.T for smp in samples],
+            "k": spec.k.tolist(),
+            "T": spec.T.tolist(),
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        text = spectrum_to_csv(samples)
+        text = spectrum_to_csv(spec)
     if rc.out is not None:
         _write_atomic(rc.out, text)
     else:
-        sys.stdout.write(text)
+        _write_text(sys.stdout, text)
     return 0
 
 

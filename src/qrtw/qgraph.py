@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import Coin, make_coin
+from .coin import Coin, finite_number, make_coin
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
 from .scattering import AmplitudeProfile, TunnelingConfig
 
@@ -26,6 +26,14 @@ K_FLOOR = 1e-6
 """Smallest admissible wave number; alpha/k blows up below this."""
 
 _PHASE_TOL = 1e-12
+
+MAX_GRID_POINTS = 10_000_000
+"""Largest spectrum grid; checked before anything is allocated."""
+
+MAX_RESONANCES = 100_000
+"""Largest root count ``find_resonances`` enumerates; checked before the first bisection."""
+
+_CSV_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,8 +46,8 @@ class GraphParams:
     k: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
+        object.__setattr__(self, "s", finite_number(self.s, "edge length s"))
         object.__setattr__(self, "m", int(self.m))
         object.__setattr__(self, "k", float(self.k))
         if self.alpha < 0:
@@ -50,6 +58,13 @@ class GraphParams:
             raise ModelError(f"m must be a positive integer, got {self.m}")
         if self.k <= 0 or not math.isfinite(self.k):
             raise InvalidWaveNumber(f"wave number must be positive, got {self.k}")
+        y = self.alpha / self.k
+        if not math.isfinite(y * y):
+            raise ModelError(f"alpha/k = {y!r} is too large: its square overflows")
+        if not math.isfinite(2.0 * self.k * self.s * self.m):
+            raise ModelError(
+                f"round-trip phase 2*k*s*m overflows at k={self.k}, s={self.s}, m={self.m}"
+            )
 
 
 def vertex_coin(alpha_j: float, k: float, s: float) -> Coin:
@@ -61,6 +76,8 @@ def vertex_coin(alpha_j: float, k: float, s: float) -> Coin:
     """
     if k <= 0 or not math.isfinite(k):
         raise InvalidWaveNumber(f"wave number must be positive, got {k}")
+    alpha_j = finite_number(alpha_j, "alpha")
+    s = finite_number(s, "edge length s")
     if s <= 0:
         raise ModelError(f"edge length s must be positive, got {s}")
     if alpha_j < 0:
@@ -118,6 +135,52 @@ def _transmission_grid(
     return ((1.0 - f) / den) ** 2
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class Spectrum:
+    """T(k) on a grid, ascending in k: two read-only float64 arrays of
+    equal length.
+
+    Iterating or indexing yields :class:`SpectrumSample` values, so the
+    spectrum reads like a sequence of samples while the data stays in
+    the arrays.
+    """
+
+    k: np.ndarray
+    T: np.ndarray
+
+    def __post_init__(self) -> None:
+        k, T = (np.asarray(a, dtype=np.float64).view() for a in (self.k, self.T))
+        if k.ndim != 1 or k.shape != T.shape:
+            raise ModelError(
+                f"spectrum needs 1-D k and T of one length, got shapes {k.shape} and {T.shape}"
+            )
+        for name, arr in (("k", k), ("T", T)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def __iter__(self):
+        return map(SpectrumSample, self.k.tolist(), self.T.tolist())
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, i) -> SpectrumSample:
+        return SpectrumSample(float(self.k[i]), float(self.T[i]))
+
+
+def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> None:
+    """Validate the chain and a wave-number bracket ``[k_min, k_max]``."""
+    if not (math.isfinite(k_min) and math.isfinite(k_max)):
+        raise InvalidWaveNumber(f"wave-number range must be finite, got [{k_min}, {k_max}]")
+    if not (k_min < k_max):
+        raise InvalidWaveNumber(f"empty wave-number range [{k_min}, {k_max}]")
+    if k_min < K_FLOOR:
+        raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
+    # alpha/k peaks at k_min and the phase 2ksm at k_max
+    GraphParams(alpha, s, m, k_min)
+    GraphParams(alpha, s, m, k_max)
+
+
 def spectrum_scan(
     alpha: float,
     s: float,
@@ -126,20 +189,19 @@ def spectrum_scan(
     k_max: float,
     n_points: int,
     threads: int = 1,
-) -> list[SpectrumSample]:
-    """Evaluate T(k) on a uniform grid, ascending in k.
+) -> Spectrum:
+    """Evaluate T(k) on ``np.linspace(k_min, k_max, n_points)``.
 
     Grid points are independent, so ``threads > 1`` splits the grid
     into contiguous chunks evaluated concurrently; the assembled output
-    is identical to the serial one.
+    is identical to the serial one.  More than :data:`MAX_GRID_POINTS`
+    points is a ModelError.
     """
     if n_points < 2:
         raise ModelError(f"need at least 2 grid points, got {n_points}")
-    if not (k_min < k_max):
-        raise InvalidWaveNumber(f"empty wave-number range [{k_min}, {k_max}]")
-    if k_min < K_FLOOR:
-        raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
-    GraphParams(alpha, s, m, k_min)
+    if n_points > MAX_GRID_POINTS:
+        raise ModelError(f"{n_points} grid points exceed the limit of {MAX_GRID_POINTS}")
+    _check_bracket(alpha, s, m, k_min, k_max)
     ks = np.linspace(k_min, k_max, n_points)
     if threads > 1:
         chunks = np.array_split(ks, min(threads, n_points))
@@ -148,7 +210,7 @@ def spectrum_scan(
         ts = np.concatenate(parts)
     else:
         ts = _transmission_grid(alpha, s, m, ks)
-    return [SpectrumSample(float(k), float(t)) for k, t in zip(ks, ts)]
+    return Spectrum(ks, ts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,12 +249,10 @@ def find_resonances(
     multiple of pi is enumerated directly and refined by bisection to a
     phase error below 1e-12.  No roots in the bracket yields an empty
     set; ``alpha = 0`` yields an empty set flagged ``all_resonant``.
+    More than :data:`MAX_RESONANCES` roots in the bracket is a
+    ModelError, raised before any root is located.
     """
-    if not (k_min < k_max):
-        raise InvalidWaveNumber(f"empty wave-number range [{k_min}, {k_max}]")
-    if k_min < K_FLOOR:
-        raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
-    GraphParams(alpha, s, m, k_min)
+    _check_bracket(alpha, s, m, k_min, k_max)
     if alpha == 0.0:
         return ResonanceSet(roots=(), all_resonant=True)
 
@@ -200,25 +260,34 @@ def find_resonances(
     hi_phase = _loop_phase(alpha, s, m, k_max)
     j_lo = math.ceil((lo_phase - math.pi) / (2.0 * math.pi))
     j_hi = math.floor((hi_phase - math.pi) / (2.0 * math.pi))
-    roots = []
-    for j in range(j_lo, j_hi + 1):
-        target = (2 * j + 1) * math.pi
-        lo, hi = k_min, k_max
-        root = None
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = _loop_phase(alpha, s, m, mid) - target
-            if abs(g) < _PHASE_TOL:
-                root = mid
-                break
-            if g < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 2.0 * math.ulp(hi):
-                break
-        roots.append(root if root is not None else 0.5 * (lo + hi))
-    return ResonanceSet(roots=tuple(roots))
+    count = j_hi - j_lo + 1
+    if count > MAX_RESONANCES:
+        raise ModelError(
+            f"[{k_min}, {k_max}] holds {count:.3g} resonances, over the limit of {MAX_RESONANCES}"
+        )
+    return ResonanceSet(
+        roots=tuple(
+            _bisect_root(alpha, s, m, k_min, k_max, (2 * j + 1) * math.pi)
+            for j in range(j_lo, j_hi + 1)
+        )
+    )
+
+
+def _bisect_root(alpha: float, s: float, m: int, k_min: float, k_max: float, target: float) -> float:
+    """The k in ``[k_min, k_max]`` where the loop phase equals ``target``."""
+    lo, hi = k_min, k_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g = _loop_phase(alpha, s, m, mid) - target
+        if abs(g) < _PHASE_TOL:
+            return mid
+        if g < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 2.0 * math.ulp(hi):
+            break
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,23 +371,30 @@ def edge_wavefunction(
 _SPECTRUM_HEADER = "k,T"
 
 
-def spectrum_to_csv(samples) -> str:
-    """Serialize scan samples as ``k,T`` lines (header included)."""
-    lines = [_SPECTRUM_HEADER]
-    for sample in samples:
-        lines.append(f"{sample.k!r},{sample.T!r}")
-    return "\n".join(lines) + "\n"
+def spectrum_to_csv(spectrum: Spectrum) -> str:
+    """Serialize a spectrum as ``k,T`` lines (header included).
+
+    Rows are formatted straight from the arrays, :data:`_CSV_BLOCK` at a
+    time, so at most one block of Python floats is alive at once.
+    """
+    k, T = spectrum.k, spectrum.T
+    blocks = [_SPECTRUM_HEADER + "\n"]
+    for i in range(0, len(k), _CSV_BLOCK):
+        j = i + _CSV_BLOCK
+        blocks.append("".join([f"{a!r},{b!r}\n" for a, b in zip(k[i:j].tolist(), T[i:j].tolist())]))
+    return "".join(blocks)
 
 
-def spectrum_from_csv(text: str) -> list[SpectrumSample]:
+def spectrum_from_csv(text: str) -> Spectrum:
     """Parse the output of :func:`spectrum_to_csv`."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _SPECTRUM_HEADER:
         raise ModelError("spectrum CSV must start with the header 'k,T'")
-    out = []
+    ks, ts = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 2:
             raise ModelError(f"malformed spectrum row: {ln!r}")
-        out.append(SpectrumSample(float(parts[0]), float(parts[1])))
-    return out
+        ks.append(float(parts[0]))
+        ts.append(float(parts[1]))
+    return Spectrum(np.array(ks), np.array(ts))

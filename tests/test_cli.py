@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -274,3 +275,67 @@ def test_parse_config_round_trip():
     assert rc.tol == 1e-9
     assert rc.tunneling.m == 3
     assert rc.tunneling.p == 0.0
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Digests of the spectrum artifacts, fixed from the per-row formatter
+# that preceded the block-wise one; the bytes must never change.
+def test_spectrum_stdout_bytes_are_pinned(capsys):
+    code, out, _ = _run(capsys, "spectrum", "--preset", "fig2")
+    assert code == 0
+    assert _sha256(out.encode()) == "ca59ecb8d1a6e2f1895c201a794245faff468b8a57a9300a7e8fa4773687c374"
+
+
+def test_spectrum_json_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "spec.json"
+    code, _, _ = _run(capsys, "spectrum", "--preset", "fig2", "--format", "json", "--out", str(out_file))
+    assert code == 0
+    assert _sha256(out_file.read_bytes()) == "bc7ef4a83a428dd590ea563ac2a4dafbe370efa40ae64d677969d547875cfdb3"
+
+
+def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
+    # 100000 rows span more than one formatting block
+    out_file = tmp_path / "spec.csv"
+    code, _, _ = _run(
+        capsys,
+        "spectrum", "--alpha", "2.5", "--s", "0.7", "--m", "5", "--k", "0.1:5:100000",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert _sha256(out_file.read_bytes()) == "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--preset", "fig2", "--alpha", "nan"),
+        ("spectrum", "--preset", "fig2", "--alpha", "inf"),
+        ("spectrum", "--preset", "fig2", "--s", "inf"),
+        ("spectrum", "--preset", "fig2", "--k", "0.1:inf:4"),
+        ("resonances", "--preset", "fig2", "--alpha", "nan"),
+    ],
+)
+def test_non_finite_graph_input_is_model_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw:") and "finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("resonances", "--preset", "fig2", "--k", "0.1:1e300"),
+        ("spectrum", "--preset", "fig2", "--k", "0.1:5:1000000000"),
+    ],
+)
+def test_oversize_graph_request_is_model_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw:") and "limit" in err
+    assert "Traceback" not in err

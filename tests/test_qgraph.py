@@ -11,6 +11,7 @@ from qrtw import (
     GraphParams,
     InvalidWaveNumber,
     ModelError,
+    Spectrum,
     build_profile,
     edge_wave,
     edge_wavefunction,
@@ -233,3 +234,94 @@ def test_edge_wave_window_and_argument_checks():
     with pytest.raises(ModelError):
         wave.value(gp.s + 0.1)
     assert edge_wavefunction(prof, gp, 0, "rightward", 0.25) == wave.value(0.25)
+
+
+def test_spectrum_arrays_are_read_only_and_match_samples():
+    spec = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 257)
+    assert spec.k.dtype == spec.T.dtype == np.float64
+    for arr in (spec.k, spec.T):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert np.array_equal(spec.k, np.linspace(0.1, 5.0, 257))
+    samples = list(spec)
+    assert len(samples) == len(spec) == 257
+    for i, sample in enumerate(samples):
+        assert type(sample.k) is float and type(sample.T) is float
+        assert sample.k == spec.k[i] == spec[i].k
+        assert sample.T == spec.T[i] == spec[i].T
+    assert spec[-1] == samples[-1]
+    with pytest.raises(IndexError):
+        spec[257]
+    with pytest.raises(ModelError):
+        Spectrum([0.1, 0.2], [1.0])
+    with pytest.raises(ModelError):
+        Spectrum(np.zeros((2, 2)), np.zeros((2, 2)))
+
+
+def test_spectrum_csv_matches_row_loop_across_blocks():
+    # more rows than one formatting block, compared with the plain per-row loop
+    spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * 2**16 + 5)
+    reference = "k,T\n" + "".join(f"{smp.k!r},{smp.T!r}\n" for smp in spec)
+    text = spectrum_to_csv(spec)
+    assert text == reference
+    again = spectrum_from_csv(text)
+    assert np.array_equal(again.k, spec.k) and np.array_equal(again.T, spec.T)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_graph_inputs_must_be_finite(bad):
+    with pytest.raises(ModelError, match="finite"):
+        GraphParams(bad, 1.0, 3, 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        GraphParams(1.0, bad, 3, 1.0)
+    with pytest.raises(ModelError, match="finite"):
+        vertex_coin(bad, 1.0, 1.0)
+    with pytest.raises(InvalidWaveNumber):
+        spectrum_scan(1.0, 1.0, 3, 0.1, bad, 4)
+    with pytest.raises(InvalidWaveNumber):
+        find_resonances(1.0, 1.0, 3, bad, 5.0)
+
+
+def test_overflowing_chain_is_model_error():
+    # 2 k s m and (alpha/k)^2 would overflow and turn T(k) into NaN
+    with pytest.raises(ModelError, match="overflows"):
+        GraphParams(1.0, 1e300, 3, 1e10)
+    with pytest.raises(ModelError, match="overflows"):
+        GraphParams(1e200, 1.0, 3, 1.0)
+    for alpha, s, k_max in ((1.0, 1e300, 1e10), (1e200, 1.0, 1.0)):
+        with pytest.raises(ModelError, match="overflows"):
+            spectrum_scan(alpha, s, 3, 0.1, k_max, 4)
+        with pytest.raises(ModelError, match="overflows"):
+            find_resonances(alpha, s, 3, 0.1, k_max)
+    assert transmission_at_k(GraphParams(1e150, 1.0, 3, 1.0)) < 1e-290
+
+
+def test_oversize_grid_is_rejected_before_allocation(monkeypatch):
+    from qrtw import qgraph
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated")
+
+    monkeypatch.setattr(qgraph.np, "linspace", no_grid)
+    with pytest.raises(ModelError, match=str(qgraph.MAX_GRID_POINTS)):
+        spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, qgraph.MAX_GRID_POINTS + 1)
+
+
+def test_oversize_root_count_is_rejected_before_enumeration(monkeypatch):
+    from qrtw import qgraph
+
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("root enumerated")
+
+    monkeypatch.setattr(qgraph, "_bisect_root", no_bisection)
+    with pytest.raises(ModelError, match=str(qgraph.MAX_RESONANCES)):
+        find_resonances(1.0, 1.0, 3, 0.1, 1e300)
+    # just past the limit: the loop phase gains 2 s m per unit k and
+    # roots are 2 pi apart, so s m / pi roots per unit k
+    k_max = (qgraph.MAX_RESONANCES + 2) * math.pi / 3.0
+    with pytest.raises(ModelError, match=str(qgraph.MAX_RESONANCES)):
+        find_resonances(1.0, 1.0, 3, 0.1, k_max)
+    # the fig2 bracket stays far below it
+    monkeypatch.undo()
+    assert len(find_resonances(1.0, 1.0, 3, 0.1, 5.0)) == 5 < qgraph.MAX_RESONANCES
