@@ -30,12 +30,7 @@ from .errors import (
     NumericalDegeneracy,
     UsageError,
 )
-from .evolution import (
-    default_max_steps,
-    default_window,
-    init_lattice,
-    run_to_convergence,
-)
+from .evolution import init_lattice, run_to_convergence
 from .qgraph import find_resonances, spectrum_scan, spectrum_to_csv
 from .scattering import (
     AmplitudeProfile,
@@ -76,7 +71,6 @@ class RunConfig:
     terms: int = 64
     out: str | None = None
     fmt: str = "csv"
-    threads: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -294,19 +288,6 @@ def _build_graph(args, rc: RunConfig, need_points: bool) -> None:
         rc.n_points = krange[2]
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("QRTW_THREADS")
-    if raw is None or not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"QRTW_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise UsageError(f"QRTW_THREADS must be at least 1, got {n}")
-    return n
-
-
 def parse_config(argv=None) -> RunConfig:
     """Turn an argv list into a validated RunConfig."""
     parser = _build_cli()
@@ -337,7 +318,6 @@ def parse_config(argv=None) -> RunConfig:
             raise UsageError(f"--terms must be nonnegative, got {rc.terms}")
     else:
         _build_graph(args, rc, need_points=(args.command == "spectrum"))
-        rc.threads = _thread_count()
     return rc
 
 
@@ -418,10 +398,7 @@ def _run_stationary(rc: RunConfig) -> int:
 
 
 def _run_evolve(rc: RunConfig) -> int:
-    cfg = rc.tunneling
-    window = rc.window if rc.window is not None else default_window(cfg)
-    state = init_lattice(cfg, window)
-    max_steps = rc.max_steps if rc.max_steps is not None else default_max_steps(cfg)
+    state = init_lattice(rc.tunneling, rc.window)
     on_step = None
     if rc.dump_every is not None:
         base, ext = os.path.splitext(rc.out)
@@ -431,7 +408,7 @@ def _run_evolve(rc: RunConfig) -> int:
             if st.n % every == 0:
                 _write_atomic(f"{base}_n{st.n}{ext}", _render_profile(st.profile(), rc.fmt))
 
-    profile, report = run_to_convergence(state, tol=rc.tol, max_steps=max_steps, on_step=on_step)
+    profile, report = run_to_convergence(state, tol=rc.tol, max_steps=rc.max_steps, on_step=on_step)
     payload = {
         "steps": report.steps,
         "residual": report.residual,
@@ -447,9 +424,7 @@ def _run_evolve(rc: RunConfig) -> int:
 
 
 def _run_spectrum(rc: RunConfig) -> int:
-    spec = spectrum_scan(
-        rc.alpha, rc.s, rc.gm, rc.k_min, rc.k_max, rc.n_points, threads=rc.threads
-    )
+    spec = spectrum_scan(rc.alpha, rc.s, rc.gm, rc.k_min, rc.k_max, rc.n_points)
     if rc.fmt == "json":
         payload = {
             "alpha": rc.alpha,

@@ -58,12 +58,14 @@ def unitarity_residual(a: complex, b: complex, c: complex, d: complex) -> float:
 
     Zero for an exactly unitary matrix.  The three distinct entries are
     the two column norms and the column overlap (the 2,1 entry is the
-    conjugate of the 1,2 entry and carries no extra information).
+    conjugate of the 1,2 entry and carries no extra information).  NaN
+    when any of them is NaN.
     """
     col1 = abs(a) ** 2 + abs(c) ** 2 - 1.0
     col2 = abs(b) ** 2 + abs(d) ** 2 - 1.0
     cross = a.conjugate() * b + c.conjugate() * d
-    return max(abs(col1), abs(col2), abs(cross))
+    deviations = (abs(col1), abs(col2), abs(cross))
+    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
 def make_coin(
@@ -89,19 +91,14 @@ def make_coin(
     Raises
     ------
     NotUnitary
-        If any entry of ``conj(U).T @ U`` deviates from the identity
-        by more than ``tol``.  The message reports the worst entry.
+        If the :func:`unitarity_residual` is above ``tol`` or not a
+        number (a NaN or infinite entry).  The message reports it.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
-    col1 = abs(abs(a) ** 2 + abs(c) ** 2 - 1.0)
-    col2 = abs(abs(b) ** 2 + abs(d) ** 2 - 1.0)
-    cross = abs(a.conjugate() * b + c.conjugate() * d)
-    worst, where = max(
-        (col1, "column 1 norm"), (col2, "column 2 norm"), (cross, "column overlap")
-    )
-    if worst > tol:
+    residual = unitarity_residual(a, b, c, d)
+    if not residual <= tol:
         raise NotUnitary(
-            f"matrix is not unitary: {where} deviates by {worst:.3e} (tol {tol:.1e})"
+            f"matrix is not unitary: residual {residual:.3e} (tol {tol:.1e})"
         )
     return Coin(a, b, c, d)
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoConvergence, WindowTooSmall
-from .scattering import AmplitudeProfile, TunnelingConfig
+from .scattering import AmplitudeProfile, TunnelingConfig, check_window_sites
 
 
 def default_window(cfg: TunnelingConfig) -> tuple[int, int]:
@@ -38,71 +38,73 @@ def default_max_steps(cfg: TunnelingConfig) -> int:
     return math.ceil(100.0 * (cfg.m + 1) / max(1.0 - abs(cfg.bc), 0.01))
 
 
-def _site_coins(cfg: TunnelingConfig, x_min: int, x_max: int):
-    w = x_max - x_min + 1
-    av = np.full(w, cmath.exp(1j * cfg.p), dtype=complex)
-    bv = np.zeros(w, dtype=complex)
-    cv = np.zeros(w, dtype=complex)
-    dv = np.full(w, cmath.exp(1j * cfg.q_shifted), dtype=complex)
+def _check_window(cfg: TunnelingConfig, window: tuple[int, int]) -> tuple[int, int]:
+    lo, hi = int(window[0]), int(window[1])
+    if lo > -2 or hi < cfg.m + 2:
+        raise WindowTooSmall(f"window [{lo}, {hi}] must contain [-2, {cfg.m + 2}]")
+    check_window_sites(lo, hi)
+    return lo, hi
+
+
+def _site_coins(cfg: TunnelingConfig, x_min: int, x_max: int) -> np.ndarray:
+    """Read-only ``(4, sites)`` array of the coin entries ``a, b, c, d``."""
+    coins = np.zeros((4, x_max - x_min + 1), dtype=complex)
+    coins[0] = cmath.exp(1j * cfg.p)
+    coins[3] = cmath.exp(1j * cfg.q_shifted)
     u = cfg.barrier
     for pos in (0, cfg.m):
-        i = pos - x_min
-        av[i], bv[i], cv[i], dv[i] = u.a, u.b, u.c, u.d
-    for arr in (av, bv, cv, dv):
-        arr.setflags(write=False)
-    return av, bv, cv, dv
+        coins[:, pos - x_min] = (u.a, u.b, u.c, u.d)
+    coins.setflags(write=False)
+    return coins
 
 
-@dataclass
+@dataclass(eq=False)
 class EvolutionState:
-    """One snapshot of the windowed walk.
+    """The windowed walk at step ``n``, advanced in place by :func:`step`.
 
     ``psi_l``/``psi_r`` are the raw amplitudes (drive phase included),
     ``injection_phase`` tracks the accumulated ``exp(i*delta*n)``, and
     ``feed`` scales the injected boundary wave (0 disables injection
-    for transport experiments).  The previous step's amplitudes are
-    kept for the mass bookkeeping in :func:`norm_check`.
+    for transport experiments).  ``coins`` holds the site coins as rows
+    ``a, b, c, d``.  A back pair of buffers keeps the amplitudes from
+    before the last step (for :func:`norm_check` and the convergence
+    residual); each step writes into it, with one scratch buffer for
+    the second product, and swaps it to the front, so ``psi_l`` and
+    ``psi_r`` alternate between two fixed arrays.  The state starts at
+    zero amplitude on a window checked like :func:`init_lattice`'s.
     """
 
     cfg: TunnelingConfig
     x_min: int
     x_max: int
-    n: int
-    psi_l: np.ndarray
-    psi_r: np.ndarray
-    injection_phase: complex
-    feed: complex
-    av: np.ndarray
-    bv: np.ndarray
-    cv: np.ndarray
-    dv: np.ndarray
-    prev_psi_l: np.ndarray | None = None
-    prev_psi_r: np.ndarray | None = None
+    feed: complex = 1.0 + 0j
+    n: int = field(default=0, init=False)
+    injection_phase: complex = field(default=1.0 + 0j, init=False)
+    psi_l: np.ndarray = field(init=False, repr=False)
+    psi_r: np.ndarray = field(init=False, repr=False)
+    coins: np.ndarray = field(init=False, repr=False)
+    _back_l: np.ndarray = field(init=False, repr=False)
+    _back_r: np.ndarray = field(init=False, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.x_min, self.x_max = _check_window(self.cfg, (self.x_min, self.x_max))
+        self.coins = _site_coins(self.cfg, self.x_min, self.x_max)
+        sites = self.x_max - self.x_min + 1
+        self.psi_l, self.psi_r, self._back_l, self._back_r, self._scratch = (
+            np.zeros(sites, dtype=complex) for _ in range(5)
+        )
 
     @property
     def window(self) -> tuple[int, int]:
         return (self.x_min, self.x_max)
 
-    @property
-    def amplitudes(self) -> AmplitudeProfile:
-        """Raw amplitudes as a profile (drive phase included)."""
-        return AmplitudeProfile(self.x_min, self.x_max, self.psi_l, self.psi_r)
-
     def profile(self) -> AmplitudeProfile:
-        """Drive-compensated amplitudes, ``psi * conj(injection_phase)``."""
+        """Drive-compensated copy of the amplitudes, ``psi * conj(injection_phase)``."""
         comp = self.injection_phase.conjugate()
         return AmplitudeProfile(
             self.x_min, self.x_max, self.psi_l * comp, self.psi_r * comp
         )
-
-
-def _check_window(cfg: TunnelingConfig, window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    if lo > -2 or hi < cfg.m + 2:
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] must contain [-2, {cfg.m + 2}]"
-        )
-    return lo, hi
 
 
 def init_lattice(
@@ -113,100 +115,63 @@ def init_lattice(
     ``psi_r(x) = exp(i(q+delta)x)`` for ``x < 0``, everything else
     zero.  The default window is :func:`default_window`.
     """
-    if window is None:
-        window = default_window(cfg)
-    lo, hi = _check_window(cfg, window)
-    xs = np.arange(lo, hi + 1)
-    psi_r = np.where(xs < 0, np.exp(1j * cfg.q_shifted * xs), 0j)
-    psi_l = np.zeros_like(psi_r)
-    av, bv, cv, dv = _site_coins(cfg, lo, hi)
-    return EvolutionState(
-        cfg=cfg,
-        x_min=lo,
-        x_max=hi,
-        n=0,
-        psi_l=psi_l,
-        psi_r=psi_r,
-        injection_phase=1.0 + 0j,
-        feed=1.0 + 0j,
-        av=av,
-        bv=bv,
-        cv=cv,
-        dv=dv,
-    )
+    lo, hi = window if window is not None else default_window(cfg)
+    state = EvolutionState(cfg, lo, hi)
+    state.psi_r[: -state.x_min] = np.exp(1j * cfg.q_shifted * np.arange(state.x_min, 0))
+    return state
 
 
 def from_profile(
     cfg: TunnelingConfig, profile: AmplitudeProfile, inject: bool = True
 ) -> EvolutionState:
-    """Wrap given amplitudes as a step-ready state (counter reset to 0).
+    """Copy given amplitudes into a step-ready state (counter reset to 0).
 
     With ``inject`` False the left boundary feeds zero instead of the
     plane wave, which is what free-transport experiments need.
     """
-    lo, hi = _check_window(cfg, profile.window)
-    av, bv, cv, dv = _site_coins(cfg, lo, hi)
-    return EvolutionState(
-        cfg=cfg,
-        x_min=lo,
-        x_max=hi,
-        n=0,
-        psi_l=np.array(profile.psi_l, dtype=complex),
-        psi_r=np.array(profile.psi_r, dtype=complex),
-        injection_phase=1.0 + 0j,
-        feed=(1.0 + 0j) if inject else 0j,
-        av=av,
-        bv=bv,
-        cv=cv,
-        dv=dv,
-    )
+    state = EvolutionState(cfg, profile.x_min, profile.x_max, (1.0 + 0j) if inject else 0j)
+    state.psi_l[:] = profile.psi_l
+    state.psi_r[:] = profile.psi_r
+    return state
 
 
 def step(state: EvolutionState) -> EvolutionState:
-    """Advance one time step and return the new state.
+    """Advance one time step in place and return the same state.
 
     Interior sites receive the usual coin-and-shift update; the whole
     field then picks up the drive phase ``exp(i*delta)``.  At the left
     edge the incoming right mover is set to the exact driven plane-wave
-    value, at the right edge the incoming left mover to zero.
+    value, at the right edge the incoming left mover to zero.  The new
+    amplitudes overwrite the back pair, which then becomes the front
+    one; no array is allocated.
     """
     cfg = state.cfg
+    a, b, c, d = state.coins
     pl, pr = state.psi_l, state.psi_r
-    nl = np.empty_like(pl)
-    nr = np.empty_like(pr)
-    nl[:-1] = state.av[1:] * pl[1:] + state.bv[1:] * pr[1:]
+    nl, nr, tmp = state._back_l, state._back_r, state._scratch
+    np.multiply(a[1:], pl[1:], out=nl[:-1])
+    nl[:-1] += np.multiply(b[1:], pr[1:], out=tmp[:-1])
     nl[-1] = 0.0
-    nr[1:] = state.cv[:-1] * pl[:-1] + state.dv[:-1] * pr[:-1]
+    np.multiply(c[:-1], pl[:-1], out=nr[1:])
+    nr[1:] += np.multiply(d[:-1], pr[:-1], out=tmp[:-1])
     drive = cmath.exp(1j * cfg.delta)
     if cfg.delta != 0.0:
         nl *= drive
         nr[1:] *= drive
-    phase = state.injection_phase * drive
-    nr[0] = state.feed * phase * cmath.exp(1j * cfg.q_shifted * state.x_min)
-    return EvolutionState(
-        cfg=cfg,
-        x_min=state.x_min,
-        x_max=state.x_max,
-        n=state.n + 1,
-        psi_l=nl,
-        psi_r=nr,
-        injection_phase=phase,
-        feed=state.feed,
-        av=state.av,
-        bv=state.bv,
-        cv=state.cv,
-        dv=state.dv,
-        prev_psi_l=pl,
-        prev_psi_r=pr,
-    )
+    state.injection_phase *= drive
+    nr[0] = state.feed * state.injection_phase * cmath.exp(1j * cfg.q_shifted * state.x_min)
+    state.psi_l, state._back_l = nl, pl
+    state.psi_r, state._back_r = nr, pr
+    state.n += 1
+    return state
 
 
-def _compensated_residual(old: EvolutionState, new: EvolutionState) -> float:
-    """Sup-norm change per step with the drive phase divided out,
-    measured on the window interior (2-site margins excluded)."""
-    undo = cmath.exp(-1j * new.cfg.delta)
-    dl = np.max(np.abs(undo * new.psi_l[2:-2] - old.psi_l[2:-2]))
-    dr = np.max(np.abs(undo * new.psi_r[2:-2] - old.psi_r[2:-2]))
+def _compensated_residual(state: EvolutionState) -> float:
+    """Sup-norm change of the last step with the drive phase divided
+    out, measured on the window interior (2-site margins excluded)."""
+    undo = cmath.exp(-1j * state.cfg.delta)
+    dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
+    dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
     return float(max(dl, dr))
 
 
@@ -234,9 +199,9 @@ def run_to_convergence(
 ) -> tuple[AmplitudeProfile, ConvergenceReport]:
     """Step until the compensated per-step change drops below ``tol``.
 
-    Returns the compensated profile and a report.  ``on_step(state)``
-    is called after every step when given (the CLI uses it to dump
-    snapshots).
+    ``state`` is advanced in place.  Returns the compensated profile
+    and a report.  ``on_step(state)`` is called after every step when
+    given (the CLI uses it to dump snapshots).
 
     Raises
     ------
@@ -250,15 +215,12 @@ def run_to_convergence(
         max_steps = default_max_steps(state.cfg)
     round_trip = 2 * state.cfg.m
     history: list[float] = []
-    current = state
     residual = math.inf
     for _ in range(max_steps):
-        nxt = step(current)
-        residual = _compensated_residual(current, nxt)
+        residual = _compensated_residual(step(state))
         history.append(residual)
-        current = nxt
         if on_step is not None:
-            on_step(current)
+            on_step(state)
         if residual < tol:
             break
     else:
@@ -271,13 +233,13 @@ def run_to_convergence(
     if len(history) > span and history[-1 - span] > 0 and history[-1] > 0:
         rate = (history[-1] / history[-1 - span]) ** (round_trip / span)
     report = ConvergenceReport(
-        steps=current.n,
+        steps=state.n,
         residual=residual,
         tol=tol,
         rate_per_round_trip=rate,
         round_trip_steps=round_trip,
     )
-    return current.profile(), report
+    return state.profile(), report
 
 
 def norm_check(state: EvolutionState) -> float:
@@ -288,16 +250,17 @@ def norm_check(state: EvolutionState) -> float:
     only the window edges exchange it with the outside.  Returns 0.0
     before any step has been taken.
     """
-    if state.prev_psi_l is None:
+    if state.n == 0:
         return 0.0
-    pl, pr = state.prev_psi_l, state.prev_psi_r
+    pl, pr = state._back_l, state._back_r
+    a, b, c, d = state.coins
     lo, hi = 2, len(pl) - 3
 
     def out_l(i: int) -> complex:
-        return state.av[i] * pl[i] + state.bv[i] * pr[i]
+        return a[i] * pl[i] + b[i] * pr[i]
 
     def out_r(i: int) -> complex:
-        return state.cv[i] * pl[i] + state.dv[i] * pr[i]
+        return c[i] * pl[i] + d[i] * pr[i]
 
     mass_now = float(
         np.sum(np.abs(state.psi_l[lo : hi + 1]) ** 2)

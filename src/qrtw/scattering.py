@@ -45,6 +45,7 @@ from .errors import (
 
 _DEGENERACY_EPS = 1e-12
 _TRIVIAL_EPS = 1e-14
+MAX_WINDOW_SITES = 10_000_000
 
 
 class Method(enum.Enum):
@@ -225,6 +226,15 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
     )
 
 
+def check_window_sites(lo: int, hi: int, what: str = "window") -> None:
+    """ModelError if ``[lo, hi]`` spans more than :data:`MAX_WINDOW_SITES`
+    sites; called before anything is allocated over the range."""
+    if hi - lo + 1 > MAX_WINDOW_SITES:
+        raise ModelError(
+            f"{what} [{lo}, {hi}] spans {hi - lo + 1} sites, over the limit of {MAX_WINDOW_SITES}"
+        )
+
+
 def _plane_wave_window(
     window: tuple[int, int], x_lo: int, x_hi: int, r: complex, t: complex,
     p: float, qe: float, injection: Injection,
@@ -244,13 +254,15 @@ def _plane_wave_window(
     The left-channel exponents decrease with ``x`` because a stationary
     left mover in the free region must reproduce itself under the coin
     phase ``exp(ip)`` applied while moving leftward.  Raises
-    WindowTooSmall if the window does not contain ``[x_lo-1, x_hi+1]``.
+    WindowTooSmall if the window does not contain ``[x_lo-1, x_hi+1]``
+    and ModelError if it spans more than :data:`MAX_WINDOW_SITES` sites.
     """
     lo, hi = int(window[0]), int(window[1])
     if lo > x_lo - 1 or hi < x_hi + 1:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
         )
+    check_window_sites(lo, hi)
     psi_l = np.zeros(hi - lo + 1, dtype=complex)
     psi_r = np.zeros(hi - lo + 1, dtype=complex)
     left = injection is Injection.LEFT
@@ -287,7 +299,8 @@ def build_profile(
         If ``sol`` came from right injection; :func:`solve_general`
         returns that profile itself.
     WindowTooSmall
-        If the window does not contain ``[-1, m+1]``.
+        If the window does not contain ``[-1, m+1]``; ModelError if it
+        spans more than :data:`MAX_WINDOW_SITES` sites.
     """
     if sol.injection is not Injection.LEFT:
         raise ModelError(
@@ -335,6 +348,9 @@ def solve_general(
 
     Raises
     ------
+    ModelError
+        When the hull or the window spans more than
+        :data:`MAX_WINDOW_SITES` sites.
     SingularSystem
         When a bounce denominator ``|1 - c*refl'|`` falls below 1e-12,
         which is how a degenerate resonance shows up here.
@@ -347,6 +363,7 @@ def solve_general(
         if not isinstance(u, Coin):
             raise ModelError(f"defect at {pos} is not a Coin")
     x_lo, x_hi = int(min(coins)), int(max(coins))
+    check_window_sites(x_lo, x_hi, "defect hull")
     qe = q + delta
     if injection is Injection.LEFT:
         incoming = cmath.exp(1j * qe * x_lo)

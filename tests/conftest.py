@@ -13,6 +13,9 @@ directly.  Tests seed their own generators; nothing here holds state.
 import cmath
 import math
 
+import numpy as np
+import pytest
+
 from qrtw import Coin, TunnelingConfig, make_coin
 
 
@@ -48,3 +51,15 @@ def random_config(
         m=int(rng.integers(1, m_hi + 1)),
         delta=delta,
     )
+
+
+@pytest.fixture
+def no_window_arrays(monkeypatch):
+    """Make ``np.zeros`` and ``np.arange`` fail, so a test sees a size
+    limit checked before anything is allocated."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    monkeypatch.setattr(np, "arange", refuse)

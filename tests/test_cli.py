@@ -178,23 +178,6 @@ def test_spectrum_stdout_csv(capsys):
     assert samples[0].k == pytest.approx(0.5)
 
 
-def test_spectrum_threads_env_is_deterministic(tmp_path, capsys, monkeypatch):
-    args = ("spectrum", "--preset", "fig2")
-    code, serial, _ = _run(capsys, *args)
-    assert code == 0
-    monkeypatch.setenv("QRTW_THREADS", "4")
-    code, threaded, _ = _run(capsys, *args)
-    assert code == 0
-    assert serial == threaded
-
-
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("QRTW_THREADS", "many")
-    code, _, err = _run(capsys, "spectrum", "--preset", "fig2")
-    assert code == 1
-    assert "QRTW_THREADS" in err
-
-
 def test_spectrum_json_format(tmp_path, capsys):
     out_file = tmp_path / "spec.json"
     code, _, _ = _run(
@@ -334,6 +317,49 @@ def test_non_finite_graph_input_is_model_error(capsys, argv):
     ],
 )
 def test_oversize_graph_request_is_model_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw:") and "limit" in err
+    assert "Traceback" not in err
+
+
+# Digests of the evolve artifacts, fixed from the stepper that built a
+# new state per step; stepping in place must not change a bit.
+def test_evolve_snapshot_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "run.csv"
+    code, out, _ = _run(
+        capsys,
+        "evolve", "--preset", "corollary3", "--out", str(out_file), "--dump-every", "100",
+    )
+    assert code == 0
+    assert _sha256(out.encode()) == "a0b1e517319ee321d6efdc619f65e7ff9451cef59e95092f3fb603ed32454e48"
+    assert _sha256(out_file.read_bytes()) == "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e"
+    snapshot = (tmp_path / "run_n100.csv").read_bytes()
+    assert _sha256(snapshot) == "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc"
+
+
+def test_driven_evolve_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "drive.json"
+    code, out, _ = _run(
+        capsys,
+        "evolve", "--preset", "corollary3", "--delta", "0.4",
+        "--format", "json", "--out", str(out_file),
+    )
+    assert code == 0
+    assert _sha256(out.encode()) == "bb8e557bf738fc6e49a2a4098f892b581d828e45dcfccd0297d4abdc531a2c89"
+    assert _sha256(out_file.read_bytes()) == "20d52bce0f0b4fe48d2ccdacd548a41317bce10150f5cf828dd06ffcf03dbd95"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stationary", "--preset", "corollary3", "--m", "1000000000"),
+        ("evolve", "--preset", "corollary3", "--window=-1000000000:5"),
+        ("verify", "--preset", "corollary3", "--m", "1000000000"),
+    ],
+)
+def test_oversize_window_is_model_error(capsys, no_window_arrays, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -44,6 +44,17 @@ def test_make_coin_tol_is_adjustable():
     assert u.a == 1.0 + eps
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("entry", range(4))
+def test_make_coin_rejects_non_finite_entry(entry, value):
+    # NaN compares false against any tolerance, so the check must not read
+    # "worst > tol"; inf entries turn the column overlap into NaN
+    entries = [1.0, 0.0, 0.0, 1.0]
+    entries[entry] = value
+    with pytest.raises(NotUnitary, match="residual (nan|inf)"):
+        make_coin(*entries)
+
+
 def test_unitarity_residual_tracks_perturbation():
     res = unitarity_residual(_INV_SQRT2 + 1e-6, _INV_SQRT2, _INV_SQRT2, -_INV_SQRT2)
     assert 1e-7 < res < 1e-5

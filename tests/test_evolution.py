@@ -10,6 +10,7 @@ import pytest
 from conftest import random_config
 from qrtw import (
     AmplitudeProfile,
+    ModelError,
     NoConvergence,
     TunnelingConfig,
     WindowTooSmall,
@@ -27,6 +28,7 @@ from qrtw import (
     solve_closed_form,
     step,
 )
+from qrtw.scattering import MAX_WINDOW_SITES
 
 
 def test_default_window_covers_barriers():
@@ -158,3 +160,34 @@ def test_on_step_sees_every_state():
     seen = []
     run_to_convergence(init_lattice(cfg), tol=1e-6, on_step=lambda s: seen.append(s.n))
     assert seen == list(range(1, len(seen) + 1))
+
+
+def test_step_advances_the_state_in_place():
+    cfg = TunnelingConfig(p=0.2, q=-0.5, barrier=hadamard(), m=2, delta=0.7)
+    state = init_lattice(cfg, (-12, 14))
+    front = (state.psi_l, state.psi_r)
+    assert step(state) is state
+    assert state.n == 1
+    assert state.injection_phase == cmath.exp(0.7j)
+    assert state.psi_l is not front[0] and state.psi_r is not front[1]
+    assert step(state) is state
+    assert state.n == 2
+    assert state.injection_phase == cmath.exp(0.7j) * cmath.exp(0.7j)
+    # two steps bring back the arrays of n = 0: no window array per step
+    assert state.psi_l is front[0] and state.psi_r is front[1]
+
+
+def test_profile_is_a_copy_of_the_moving_state():
+    cfg = TunnelingConfig(p=0.2, q=-0.5, barrier=hadamard(), m=2)
+    state = init_lattice(cfg, (-12, 14))
+    before = state.profile()
+    step(state)
+    after = state.profile()
+    assert profile_max_difference(before, after) > 0.1
+    assert profile_max_difference(before, init_lattice(cfg, (-12, 14)).profile()) == 0.0
+
+
+def test_oversize_window_is_refused_before_allocation(no_window_arrays):
+    cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=3)
+    with pytest.raises(ModelError, match="limit of 10000000"):
+        init_lattice(cfg, (-MAX_WINDOW_SITES, 5))

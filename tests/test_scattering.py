@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_config, random_unitary
 from dense_oracle import dense_solve
+from qrtw.scattering import MAX_WINDOW_SITES
 from qrtw import (
     AmplitudeProfile,
     DegenerateResonance,
@@ -354,3 +355,11 @@ def test_solve_general_window_contract():
     assert _recursion_residual(prof, cfg) < 1e-12
     with pytest.raises(WindowTooSmall):
         solve_general(coins, 0.0, Injection.LEFT, cfg.p, cfg.q, window=(0, 11))
+
+
+def test_solve_general_bounds_hull_and_window(no_window_arrays):
+    u = hadamard()
+    with pytest.raises(ModelError, match="defect hull .* limit of 10000000"):
+        solve_general({0: u, MAX_WINDOW_SITES: u}, 0.0, Injection.LEFT, 0.3, 0.5)
+    with pytest.raises(ModelError, match="window .* limit of 10000000"):
+        solve_general({0: u, 3: u}, 0.0, Injection.RIGHT, 0.3, 0.5, window=(-MAX_WINDOW_SITES, 4))
