@@ -21,21 +21,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
-from .coin import coin_from_json, half_wave_plate
-from .errors import (
-    ModelError,
-    NoConvergence,
-    NumericalDegeneracy,
-    UsageError,
-)
+from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import init_lattice, run_to_convergence
 from .qgraph import find_resonances, spectrum_scan, spectrum_to_csv
 from .scattering import (
     AmplitudeProfile,
     Injection,
-    TunnelingConfig,
     build_profile,
     config_from_json,
     flux_balance,
@@ -48,29 +40,13 @@ from .scattering import (
 )
 from .series import t_series, t_series_limit, transmitted_tail_phase
 
-_WALK_COMMANDS = ("stationary", "evolve", "verify")
-_GRAPH_COMMANDS = ("spectrum", "resonances")
-
-
-@dataclass
-class RunConfig:
-    """Everything one command invocation needs, already validated."""
-
-    command: str
-    tunneling: TunnelingConfig | None = None
-    alpha: float | None = None
-    s: float | None = None
-    gm: int | None = None
-    k_min: float | None = None
-    k_max: float | None = None
-    n_points: int = 1001
-    window: tuple[int, int] | None = None
-    tol: float = 1e-8
-    max_steps: int | None = None
-    dump_every: int | None = None
-    terms: int = 64
-    out: str | None = None
-    fmt: str = "csv"
+# Named model inputs.  Walk presets are in the --config form; explicit
+# flags override any preset entry.
+_WALK_PRESETS = {"corollary3": {"p": 0.0, "q": 0.0, "barrier": {"hwp": math.pi / 8}, "m": 3}}
+_CHAIN_PRESETS = {"fig2": {"alpha": 1.0, "s": 1.0, "m": 3, "k": (0.1, 5.0, 4096)}}
+_WALK_DEFAULTS = {"p": 0.0, "q": 0.0, "delta": 0.0, "m": 1}
+_WALK_INLINE = ("p", "q", "delta", "barrier", "m")
+_CHAIN_INLINE = ("alpha", "s", "m", "k")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,12 +87,45 @@ def _parse_barrier(text: str):
         return text
 
 
-def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
+def _checked(kind, flag: str, rule: str, ok):
+    """An argparse type: ``kind(text)``, or UsageError unless ``ok(value)``."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise UsageError(f"{flag} must be {rule}, got {value}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid <kind> value"
+    return convert
+
+
+def _preset(presets: dict):
+    """An argparse type mapping a preset name to its model entries."""
+
+    def convert(name: str) -> dict:
+        if name not in presets:
+            raise UsageError(
+                f"unknown preset {name!r} for this command (expected {', '.join(presets)})"
+            )
+        return presets[name]
+
+    return convert
+
+
+_tol = _checked(float, "--tol", "positive and finite", lambda v: 0 < v < math.inf)
+_terms = _checked(int, "--terms", "nonnegative", lambda v: v >= 0)
+_max_steps = _checked(int, "--max-steps", "at least 1", lambda v: v >= 1)
+_dump_every = _checked(int, "--dump-every", "at least 1", lambda v: v >= 1)
+
+
+def _add_walk_flags(sub: argparse.ArgumentParser, window_help: str) -> None:
     sub.add_argument("--p", type=float, default=None, help="left-channel free phase (default 0)")
     sub.add_argument("--q", type=float, default=None, help="right-channel free phase (default 0)")
     sub.add_argument("--delta", type=float, default=None, help="per-step drive phase (default 0)")
     sub.add_argument(
         "--barrier",
+        type=_parse_barrier,
         default=None,
         help="barrier coin: preset name (hadamard, identity) or JSON "
         '(e.g. \'{"hwp": 0.39}\', \'{"a": [re, im], ...}\')',
@@ -124,6 +133,7 @@ def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=None, help="second barrier position (default 1)")
     sub.add_argument(
         "--preset",
+        type=_preset(_WALK_PRESETS),
         default=None,
         help="named parameter set; 'corollary3' fills p=q=0, a pi/8 "
         "half-wave-plate barrier, m=3 (explicit flags override)",
@@ -135,6 +145,8 @@ def _add_walk_flags(sub: argparse.ArgumentParser) -> None:
         help="JSON file with p, q, barrier, m, delta; mutually exclusive "
         "with the inline model flags",
     )
+    sub.add_argument("--window", type=_parse_window, default=None, metavar="A:B", help=window_help)
+    sub.set_defaults(build=_build_tunneling)
 
 
 def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
@@ -143,15 +155,18 @@ def _add_graph_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=None, help="second marked vertex index")
     sub.add_argument(
         "--k",
+        type=_parse_krange,
         default=None,
         metavar="MIN:MAX[:N]",
         help="wave-number range, N grid points (spectrum default 1001)",
     )
     sub.add_argument(
         "--preset",
+        type=_preset(_CHAIN_PRESETS),
         default=None,
         help="named parameter set; 'fig2' fills alpha=1, s=1, m=3, k=0.1:5:4096",
     )
+    sub.set_defaults(build=_build_chain)
 
 
 def _add_out_flags(sub: argparse.ArgumentParser, formats: bool = True) -> None:
@@ -171,154 +186,89 @@ def _build_cli() -> _Parser:
     subs = parser.add_subparsers(dest="command", parser_class=_Parser)
 
     st = subs.add_parser("stationary", help="solve the steady state in closed form")
-    _add_walk_flags(st)
-    st.add_argument(
-        "--window",
-        default=None,
-        metavar="A:B",
-        help="profile window; write --window=-10:13 for a negative bound "
-        "(default -10:m+10)",
-    )
+    _add_walk_flags(st, "profile window; write --window=-10:13 for a negative bound (default -10:m+10)")
     _add_out_flags(st)
+    st.set_defaults(run=_run_stationary)
 
     ev = subs.add_parser("evolve", help="time-step the walk to convergence")
-    _add_walk_flags(ev)
-    ev.add_argument("--window", default=None, metavar="A:B", help="lattice window (default scales with m)")
-    ev.add_argument("--tol", type=float, default=1e-8, help="per-step change threshold (default 1e-8)")
-    ev.add_argument("--max-steps", type=int, default=None, dest="max_steps", help="step budget (default scales with the bounce decay)")
+    _add_walk_flags(ev, "lattice window (default scales with m)")
+    ev.add_argument("--tol", type=_tol, default=1e-8, help="per-step change threshold, positive and finite (default 1e-8)")
+    ev.add_argument("--max-steps", type=_max_steps, default=None, dest="max_steps", help="step budget (default scales with the bounce decay)")
     ev.add_argument(
         "--dump-every",
-        type=int,
+        type=_dump_every,
         default=None,
         dest="dump_every",
         metavar="N",
         help="also write a profile snapshot every N steps (requires --out)",
     )
     _add_out_flags(ev)
+    ev.set_defaults(run=_run_evolve)
 
     sp = subs.add_parser("spectrum", help="scan the transmission probability over k")
     _add_graph_flags(sp)
     _add_out_flags(sp)
+    sp.set_defaults(run=_run_spectrum)
 
     rs = subs.add_parser("resonances", help="locate perfect-transmission wave numbers")
     _add_graph_flags(rs)
     _add_out_flags(rs, formats=False)
+    rs.set_defaults(run=_run_resonances)
 
     vf = subs.add_parser("verify", help="cross-check all solution routes on one model")
-    _add_walk_flags(vf)
-    vf.add_argument("--window", default=None, metavar="A:B", help="comparison window (default solver-chosen)")
-    vf.add_argument("--tol", type=float, default=1e-8, help="evolution convergence threshold (default 1e-8)")
-    vf.add_argument("--terms", type=int, default=64, help="bounce-series partial-sum length (default 64)")
+    _add_walk_flags(vf, "comparison window (default solver-chosen)")
+    vf.add_argument("--tol", type=_tol, default=1e-8, help="evolution convergence threshold, positive and finite (default 1e-8)")
+    vf.add_argument("--terms", type=_terms, default=64, help="bounce-series partial-sum length (default 64)")
+    vf.set_defaults(run=_run_verify)
 
     return parser
 
 
-_WALK_INLINE = ("p", "q", "delta", "barrier", "m", "preset")
+def _given(args, names) -> dict:
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
-def _build_tunneling(args) -> TunnelingConfig:
-    inline = [name for name in _WALK_INLINE if getattr(args, name) is not None]
+def _build_tunneling(args) -> None:
+    """Set ``args.tunneling`` from --config, or from defaults, preset and flags."""
     if args.config is not None:
-        if inline:
+        clashing = _given(args, (*_WALK_INLINE, "preset"))
+        if clashing:
             raise UsageError(
                 "--config conflicts with inline model flags: "
-                + ", ".join("--" + n for n in inline)
+                + ", ".join("--" + n for n in clashing)
             )
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+                model = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
         except json.JSONDecodeError as exc:
             raise UsageError(f"config file is not valid JSON: {exc}") from None
-        return config_from_json(data)
-
-    p, q, delta = 0.0, 0.0, 0.0
-    barrier = None
-    m = 1
-    if args.preset is not None:
-        if args.preset != "corollary3":
-            raise UsageError(
-                f"unknown preset {args.preset!r} for this command (expected corollary3)"
-            )
-        p, q = 0.0, 0.0
-        barrier = half_wave_plate(math.pi / 8.0)
-        m = 3
-    if args.p is not None:
-        p = args.p
-    if args.q is not None:
-        q = args.q
-    if args.delta is not None:
-        delta = args.delta
-    if args.barrier is not None:
-        barrier = coin_from_json(_parse_barrier(args.barrier))
-    if args.m is not None:
-        m = args.m
-    if barrier is None:
-        raise UsageError("no barrier coin given (use --barrier, --preset, or --config)")
-    return TunnelingConfig(p=p, q=q, barrier=barrier, m=m, delta=delta)
+    else:
+        model = {**_WALK_DEFAULTS, **(args.preset or {}), **_given(args, _WALK_INLINE)}
+        if "barrier" not in model:
+            raise UsageError("no barrier coin given (use --barrier, --preset, or --config)")
+    args.tunneling = config_from_json(model)
 
 
-def _build_graph(args, rc: RunConfig, need_points: bool) -> None:
-    alpha, s, m, krange = None, None, None, None
-    if args.preset is not None:
-        if args.preset != "fig2":
-            raise UsageError(
-                f"unknown preset {args.preset!r} for this command (expected fig2)"
-            )
-        alpha, s, m, krange = 1.0, 1.0, 3, (0.1, 5.0, 4096)
-    if args.alpha is not None:
-        alpha = args.alpha
-    if args.s is not None:
-        s = args.s
-    if args.m is not None:
-        m = args.m
-    if args.k is not None:
-        krange = _parse_krange(args.k)
-    missing = [
-        flag
-        for flag, value in (("--alpha", alpha), ("--s", s), ("--m", m), ("--k", krange))
-        if value is None
-    ]
+def _build_chain(args) -> None:
+    """Set ``args.alpha``, ``args.s``, ``args.m`` and ``args.k`` from preset and flags."""
+    model = {**(args.preset or {}), **_given(args, _CHAIN_INLINE)}
+    missing = ["--" + n for n in _CHAIN_INLINE if n not in model]
     if missing:
         raise UsageError("missing required flags: " + ", ".join(missing))
-    rc.alpha, rc.s, rc.gm = alpha, s, m
-    rc.k_min, rc.k_max = krange[0], krange[1]
-    if need_points and krange[2] is not None:
-        rc.n_points = krange[2]
+    args.alpha, args.s, args.m, args.k = (model[n] for n in _CHAIN_INLINE)
 
 
-def parse_config(argv=None) -> RunConfig:
-    """Turn an argv list into a validated RunConfig."""
-    parser = _build_cli()
-    args = parser.parse_args(argv)
+def parse_config(argv=None) -> argparse.Namespace:
+    """Parse argv into the namespace a command runs from, its model built and checked."""
+    args = _build_cli().parse_args(argv)
     if args.command is None:
         raise UsageError("a command is required (stationary, evolve, spectrum, resonances, verify)")
-    rc = RunConfig(command=args.command)
-    rc.out = getattr(args, "out", None)
-    rc.fmt = getattr(args, "fmt", "csv")
-    if args.command in _WALK_COMMANDS:
-        rc.tunneling = _build_tunneling(args)
-        if getattr(args, "window", None) is not None:
-            rc.window = _parse_window(args.window)
-        rc.tol = getattr(args, "tol", 1e-8)
-        if rc.tol <= 0:
-            raise UsageError(f"--tol must be positive, got {rc.tol}")
-        rc.max_steps = getattr(args, "max_steps", None)
-        if rc.max_steps is not None and rc.max_steps < 1:
-            raise UsageError(f"--max-steps must be at least 1, got {rc.max_steps}")
-        rc.dump_every = getattr(args, "dump_every", None)
-        if rc.dump_every is not None:
-            if rc.dump_every < 1:
-                raise UsageError(f"--dump-every must be at least 1, got {rc.dump_every}")
-            if rc.out is None:
-                raise UsageError("--dump-every needs --out to name the snapshot files")
-        rc.terms = getattr(args, "terms", 64)
-        if rc.terms < 0:
-            raise UsageError(f"--terms must be nonnegative, got {rc.terms}")
-    else:
-        _build_graph(args, rc, need_points=(args.command == "spectrum"))
-    return rc
+    args.build(args)
+    if getattr(args, "dump_every", None) is not None and args.out is None:
+        raise UsageError("--dump-every needs --out to name the snapshot files")
+    return args
 
 
 _WRITE_SLICE = 1 << 20
@@ -371,10 +321,10 @@ def _render_profile(profile: AmplitudeProfile, fmt: str) -> str:
     return profile_to_csv(profile)
 
 
-def _run_stationary(rc: RunConfig) -> int:
-    cfg = rc.tunneling
+def _run_stationary(args) -> int:
+    cfg = args.tunneling
     sol = solve_closed_form(cfg)
-    window = rc.window if rc.window is not None else (-10, cfg.m + 10)
+    window = args.window if args.window is not None else (-10, cfg.m + 10)
     profile = build_profile(sol, cfg, window)
     try:
         residual = resonance_residual(cfg)
@@ -392,23 +342,23 @@ def _run_stationary(rc: RunConfig) -> int:
         "delta": sol.delta,
     }
     print(json.dumps(payload, indent=2))
-    if rc.out is not None:
-        _write_atomic(rc.out, _render_profile(profile, rc.fmt))
+    if args.out is not None:
+        _write_atomic(args.out, _render_profile(profile, args.fmt))
     return 0
 
 
-def _run_evolve(rc: RunConfig) -> int:
-    state = init_lattice(rc.tunneling, rc.window)
+def _run_evolve(args) -> int:
+    state = init_lattice(args.tunneling, args.window)
     on_step = None
-    if rc.dump_every is not None:
-        base, ext = os.path.splitext(rc.out)
-        every = rc.dump_every
+    if args.dump_every is not None:
+        base, ext = os.path.splitext(args.out)
+        every = args.dump_every
 
         def on_step(st):
             if st.n % every == 0:
-                _write_atomic(f"{base}_n{st.n}{ext}", _render_profile(st.profile(), rc.fmt))
+                _write_atomic(f"{base}_n{st.n}{ext}", _render_profile(st.profile(), args.fmt))
 
-    profile, report = run_to_convergence(state, tol=rc.tol, max_steps=rc.max_steps, on_step=on_step)
+    profile, report = run_to_convergence(state, tol=args.tol, max_steps=args.max_steps, on_step=on_step)
     payload = {
         "steps": report.steps,
         "residual": report.residual,
@@ -418,49 +368,50 @@ def _run_evolve(rc: RunConfig) -> int:
         "window": list(profile.window),
     }
     print(json.dumps(payload, indent=2))
-    if rc.out is not None:
-        _write_atomic(rc.out, _render_profile(profile, rc.fmt))
+    if args.out is not None:
+        _write_atomic(args.out, _render_profile(profile, args.fmt))
     return 0
 
 
-def _run_spectrum(rc: RunConfig) -> int:
-    spec = spectrum_scan(rc.alpha, rc.s, rc.gm, rc.k_min, rc.k_max, rc.n_points)
-    if rc.fmt == "json":
+def _run_spectrum(args) -> int:
+    k_min, k_max, n = args.k
+    spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
+    if args.fmt == "json":
         payload = {
-            "alpha": rc.alpha,
-            "s": rc.s,
-            "m": rc.gm,
+            "alpha": args.alpha,
+            "s": args.s,
+            "m": args.m,
             "k": spec.k.tolist(),
             "T": spec.T.tolist(),
         }
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = spectrum_to_csv(spec)
-    if rc.out is not None:
-        _write_atomic(rc.out, text)
+    if args.out is not None:
+        _write_atomic(args.out, text)
     else:
         _write_text(sys.stdout, text)
     return 0
 
 
-def _run_resonances(rc: RunConfig) -> int:
-    found = find_resonances(rc.alpha, rc.s, rc.gm, rc.k_min, rc.k_max)
+def _run_resonances(args) -> int:
+    found = find_resonances(args.alpha, args.s, args.m, *args.k[:2])
     payload = {
-        "alpha": rc.alpha,
-        "s": rc.s,
-        "m": rc.gm,
+        "alpha": args.alpha,
+        "s": args.s,
+        "m": args.m,
         "roots": list(found.roots),
         "all_resonant": found.all_resonant,
     }
     text = json.dumps(payload, indent=2) + "\n"
     sys.stdout.write(text)
-    if rc.out is not None:
-        _write_atomic(rc.out, text)
+    if args.out is not None:
+        _write_atomic(args.out, text)
     return 0
 
 
-def _run_verify(rc: RunConfig) -> int:
-    cfg = rc.tunneling
+def _run_verify(args) -> int:
+    cfg = args.tunneling
     sol = solve_closed_form(cfg)
 
     lin_sol, lin_prof = solve_general(
@@ -469,17 +420,17 @@ def _run_verify(rc: RunConfig) -> int:
         Injection.LEFT,
         cfg.p,
         cfg.q,
-        window=rc.window,
+        window=args.window,
     )
     closed_prof = build_profile(sol, cfg, lin_prof.window)
 
     limit = t_series_limit(cfg)
     t_series_value = limit * transmitted_tail_phase(cfg).conjugate()
-    partial = t_series(cfg, rc.terms)
+    partial = t_series(cfg, args.terms)
     series_err = abs(partial.partial_sum - limit)
 
     state = init_lattice(cfg)
-    evo_prof, report = run_to_convergence(state, tol=rc.tol)
+    evo_prof, report = run_to_convergence(state, tol=args.tol)
     lo, hi = evo_prof.window
     evo_closed = build_profile(sol, cfg, evo_prof.window)
     evo_diff = profile_max_difference(evo_prof, evo_closed, lo + 2, hi - 2)
@@ -510,37 +461,17 @@ def _run_verify(rc: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
-def run(rc: RunConfig) -> int:
-    """Execute a parsed RunConfig; returns the process exit status."""
-    if rc.command == "stationary":
-        return _run_stationary(rc)
-    if rc.command == "evolve":
-        return _run_evolve(rc)
-    if rc.command == "spectrum":
-        return _run_spectrum(rc)
-    if rc.command == "resonances":
-        return _run_resonances(rc)
-    if rc.command == "verify":
-        return _run_verify(rc)
-    raise UsageError(f"unknown command {rc.command!r}")
+_EXIT_CODES = {UsageError: 1, ModelError: 2, NumericalDegeneracy: 3, NoConvergence: 4}
 
 
 def main(argv=None) -> int:
     """Console entry point."""
     try:
-        return run(parse_config(argv))
-    except UsageError as exc:
+        args = parse_config(argv)
+        return args.run(args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"qrtw: {exc}", file=sys.stderr)
-        return 1
-    except NumericalDegeneracy as exc:
-        print(f"qrtw: {exc}", file=sys.stderr)
-        return 3
-    except NoConvergence as exc:
-        print(f"qrtw: {exc}", file=sys.stderr)
-        return 4
-    except ModelError as exc:
-        print(f"qrtw: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

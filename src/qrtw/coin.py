@@ -227,6 +227,17 @@ def finite_number(value: Any, what: str) -> float:
     return number
 
 
+def integer_number(value: Any, what: str) -> int:
+    """``int(value)``, or ModelError naming ``what`` if it is not an integral number."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelError(f"{what} must be an integer, got {value!r}") from None
+    if number != value:
+        raise ModelError(f"{what} must be an integer, got {value!r}")
+    return number
+
+
 def coin_from_json(data: Any) -> Coin:
     """Rebuild a coin from :func:`coin_to_json` output or a named preset.
 

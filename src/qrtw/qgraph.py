@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coin import Coin, finite_number, make_coin
+from .coin import Coin, finite_number, integer_number, make_coin
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
 from .scattering import AmplitudeProfile, TunnelingConfig
 
@@ -48,7 +48,7 @@ class GraphParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
         object.__setattr__(self, "s", finite_number(self.s, "edge length s"))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", integer_number(self.m, "m"))
         object.__setattr__(self, "k", float(self.k))
         if self.alpha < 0:
             raise ModelError(f"alpha must be nonnegative, got {self.alpha}")

@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, coin_from_json, coin_to_json, determinant, finite_number
+from .coin import Coin, beta_decompose, coin_from_json, coin_to_json, determinant, finite_number, integer_number
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -81,12 +81,10 @@ class TunnelingConfig:
     def __post_init__(self):
         if not isinstance(self.barrier, Coin):
             raise ModelError("barrier must be a Coin")
-        m = self.m
-        if int(m) != m:
-            raise ModelError(f"barrier separation m must be an integer, got {m!r}")
-        if int(m) < 1:
+        m = integer_number(self.m, "barrier separation m")
+        if m < 1:
             raise ModelError(f"barrier separation m must be >= 1, got {m}")
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "m", m)
         for name in ("p", "q", "delta"):
             object.__setattr__(self, name, finite_number(getattr(self, name), name))
 
@@ -602,11 +600,9 @@ def config_from_json(data: dict) -> TunnelingConfig:
     if not isinstance(data, dict):
         raise ModelError(f"config must be a JSON object, got {type(data).__name__}")
     try:
-        p = float(data["p"])
-        q = float(data["q"])
-        barrier = coin_from_json(data["barrier"])
-        m = data["m"]
+        p, q, barrier, m = (data[name] for name in ("p", "q", "barrier", "m"))
     except KeyError as exc:
         raise ModelError(f"config is missing field {exc.args[0]!r}") from exc
-    delta = float(data.get("delta", 0.0))
-    return TunnelingConfig(p=p, q=q, barrier=barrier, m=m, delta=delta)
+    return TunnelingConfig(
+        p=p, q=q, barrier=coin_from_json(barrier), m=m, delta=data.get("delta", 0.0)
+    )

@@ -365,3 +365,63 @@ def test_oversize_window_is_model_error(capsys, no_window_arrays, argv):
     assert out == ""
     assert err.startswith("qrtw:") and "limit" in err
     assert "Traceback" not in err
+
+
+# Digests of the walk-command outputs, fixed while presets and inline
+# flags were still turned into a model by hand; routing them through
+# config_from_json must not change a byte.
+def test_stationary_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "st.csv"
+    code, out, _ = _run(capsys, "stationary", "--preset", "corollary3", "--out", str(out_file))
+    assert code == 0
+    assert _sha256(out.encode()) == "7f2e20540994ef219ecf32b87ec70c0242ba6ba444a27ebb3658cbfc48913fd2"
+    assert _sha256(out_file.read_bytes()) == "8122e33839916ae97b06415ee52ebfb94333e18a1f0f6a2adbc774a44ef51396"
+
+
+def test_driven_stationary_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "st.json"
+    code, out, _ = _run(
+        capsys,
+        "stationary", "--preset", "corollary3", "--delta", "0.4", "--window=-7:12",
+        "--format", "json", "--out", str(out_file),
+    )
+    assert code == 0
+    assert _sha256(out.encode()) == "e23b8d8cc9dd339079c2bb6c0b4861f3e877a2d5c20bafc79a5521fbf4d3d0b2"
+    assert _sha256(out_file.read_bytes()) == "88d0e5d7fa187c4b654ceb1cdd07904f484dc3917fb98833bbbf854bfd18cfe0"
+
+
+def test_verify_bytes_are_pinned(capsys):
+    code, out, _ = _run(capsys, "verify", "--preset", "corollary3", "--delta", "0.4")
+    assert code == 0
+    assert _sha256(out.encode()) == "766bb9c40c06c372b4d9f1b69ae47c1adc2f6a04be8af92fe0244e2a591b8798"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"p": "abc", "q": 0, "barrier": "hadamard", "m": 2}',
+        '{"p": [1], "q": 0, "barrier": "hadamard", "m": 2}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": 2, "delta": null}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": "x"}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": null}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": NaN}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": 1e400}',
+    ],
+)
+def test_malformed_config_value_is_model_error(tmp_path, capsys, text):
+    cfg_file = tmp_path / "model.json"
+    cfg_file.write_text(text)
+    code, out, err = _run(capsys, "stationary", "--config", str(cfg_file))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["evolve", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tol_must_be_positive_and_finite(capsys, command, tol):
+    code, out, err = _run(capsys, command, "--preset", "corollary3", "--tol", tol)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("qrtw:") and "--tol" in err

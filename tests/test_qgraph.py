@@ -283,6 +283,17 @@ def test_graph_inputs_must_be_finite(bad):
         find_resonances(1.0, 1.0, 3, bad, 5.0)
 
 
+@pytest.mark.parametrize("m", [2.5, "x", None])
+def test_chain_span_must_be_an_integer(m):
+    # 2.5 once truncated to 2 for the check while the scans used 2.5
+    with pytest.raises(ModelError, match="integer"):
+        GraphParams(1.0, 1.0, m, 1.0)
+    with pytest.raises(ModelError, match="integer"):
+        find_resonances(1.0, 1.0, m, 0.1, 2.0)
+    with pytest.raises(ModelError, match="integer"):
+        spectrum_scan(1.0, 1.0, m, 0.1, 2.0, 4)
+
+
 def test_overflowing_chain_is_model_error():
     # 2 k s m and (alpha/k)^2 would overflow and turn T(k) into NaN
     with pytest.raises(ModelError, match="overflows"):
