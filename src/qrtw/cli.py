@@ -7,9 +7,11 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 independent solution routes against each other and prints a pass/fail
 table).
 
-Exit codes: 0 success, 1 usage problems or a failed verify, 2 invalid
-model input, 3 numerical degeneracy, 4 no convergence.  All output is
-deterministic; floats are printed in shortest round-trip form.
+Exit codes: 0 success, 1 usage problems, a failed verify or a stdout
+closed by its reader (nothing more is written, not even to stderr), 2
+invalid model input, 3 numerical degeneracy, 4 no convergence.  All
+output is deterministic; floats are printed in shortest round-trip form
+and JSON is strict (no NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import tempfile
 
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import init_lattice, run_to_convergence
-from .qgraph import find_resonances, spectrum_scan, spectrum_to_csv
+from .qgraph import find_resonances, spectrum_csv_blocks, spectrum_scan
 from .scattering import (
     AmplitudeProfile,
     Injection,
@@ -274,14 +276,22 @@ def parse_config(argv=None) -> argparse.Namespace:
 _WRITE_SLICE = 1 << 20
 
 
-def _write_text(fh, text: str) -> None:
-    """Write ``text`` in slices, so the encoder never copies all of it at once."""
-    for i in range(0, len(text), _WRITE_SLICE):
-        fh.write(text[i : i + _WRITE_SLICE])
+def _write_text(fh, text) -> None:
+    """Write ``text``, a ``str`` or an iterable of ``str`` blocks.
+
+    A ``str`` goes out in slices, so the encoder never copies all of it
+    at once; blocks are written as they are produced, so the whole text
+    is never held.
+    """
+    blocks = text
+    if isinstance(text, str):
+        blocks = (text[i : i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE))
+    for block in blocks:
+        fh.write(block)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    """Write the whole artifact, then rename into place."""
+def _write_atomic(path: str, text) -> None:
+    """Write the whole artifact (see :func:`_write_text`), then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrtw-", suffix=".part")
@@ -312,7 +322,7 @@ def _profile_json(profile: AmplitudeProfile) -> str:
         "psi_r": [_cjson(z) for z in profile.psi_r],
         "mu": [mu[x] for x in profile.positions()],
     }
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _render_profile(profile: AmplitudeProfile, fmt: str) -> str:
@@ -341,7 +351,7 @@ def _run_stationary(args) -> int:
         "method": sol.method.value,
         "delta": sol.delta,
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     if args.out is not None:
         _write_atomic(args.out, _render_profile(profile, args.fmt))
     return 0
@@ -367,7 +377,7 @@ def _run_evolve(args) -> int:
         "round_trip_steps": report.round_trip_steps,
         "window": list(profile.window),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     if args.out is not None:
         _write_atomic(args.out, _render_profile(profile, args.fmt))
     return 0
@@ -384,9 +394,9 @@ def _run_spectrum(args) -> int:
             "k": spec.k.tolist(),
             "T": spec.T.tolist(),
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        text = spectrum_to_csv(spec)
+        text = spectrum_csv_blocks(spec)
     if args.out is not None:
         _write_atomic(args.out, text)
     else:
@@ -403,7 +413,7 @@ def _run_resonances(args) -> int:
         "roots": list(found.roots),
         "all_resonant": found.all_resonant,
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
         _write_atomic(args.out, text)
@@ -468,10 +478,19 @@ def main(argv=None) -> int:
     """Console entry point."""
     try:
         args = parse_config(argv)
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe then raises here, not at exit
+        return code
     except tuple(_EXIT_CODES) as exc:
         print(f"qrtw: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at devnull so
+        # the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

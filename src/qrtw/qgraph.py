@@ -33,7 +33,8 @@ MAX_GRID_POINTS = 10_000_000
 MAX_RESONANCES = 100_000
 """Largest root count ``find_resonances`` enumerates; checked before the first bisection."""
 
-_CSV_BLOCK = 1 << 16
+_BLOCK = 1 << 14
+"""Grid points per block, in the T(k) kernel and in the CSV formatter."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +193,12 @@ def spectrum_scan(
 ) -> Spectrum:
     """Evaluate T(k) on ``np.linspace(k_min, k_max, n_points)``.
 
+    The serial kernel fills a preallocated ``T`` :data:`_BLOCK` points
+    at a time, so its temporaries stay one block long; the ufuncs are
+    elementwise, so the values are those of one whole-grid call.  ``k``
+    is always one whole-grid ``np.linspace``, because a linspace built
+    block by block rounds differently.
+
     Grid points are independent, so ``threads > 1`` splits the grid
     into contiguous chunks evaluated concurrently; the assembled output
     is identical to the serial one, but on two cores it was slower at
@@ -210,7 +217,9 @@ def spectrum_scan(
             parts = list(pool.map(lambda c: _transmission_grid(alpha, s, m, c), chunks))
         ts = np.concatenate(parts)
     else:
-        ts = _transmission_grid(alpha, s, m, ks)
+        ts = np.empty_like(ks)
+        for i in range(0, n_points, _BLOCK):
+            ts[i : i + _BLOCK] = _transmission_grid(alpha, s, m, ks[i : i + _BLOCK])
     return Spectrum(ks, ts)
 
 
@@ -372,18 +381,25 @@ def edge_wavefunction(
 _SPECTRUM_HEADER = "k,T"
 
 
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """Serialize a spectrum as ``k,T`` lines (header included).
+def spectrum_csv_blocks(spectrum: Spectrum):
+    """Yield a spectrum's ``k,T`` CSV as text blocks: the header line,
+    then :data:`_BLOCK` rows at a time.
 
-    Rows are formatted straight from the arrays, :data:`_CSV_BLOCK` at a
-    time, so at most one block of Python floats is alive at once.
+    Rows are formatted straight from the arrays, so at most one block of
+    Python floats and one block of text are alive at once; a caller that
+    writes each block as it comes never holds the whole CSV.
     """
     k, T = spectrum.k, spectrum.T
-    blocks = [_SPECTRUM_HEADER + "\n"]
-    for i in range(0, len(k), _CSV_BLOCK):
-        j = i + _CSV_BLOCK
-        blocks.append("".join([f"{a!r},{b!r}\n" for a, b in zip(k[i:j].tolist(), T[i:j].tolist())]))
-    return "".join(blocks)
+    yield _SPECTRUM_HEADER + "\n"
+    for i in range(0, len(k), _BLOCK):
+        j = i + _BLOCK
+        yield "".join([f"{a!r},{b!r}\n" for a, b in zip(k[i:j].tolist(), T[i:j].tolist())])
+
+
+def spectrum_to_csv(spectrum: Spectrum) -> str:
+    """Serialize a spectrum as ``k,T`` lines (header included): the
+    blocks of :func:`spectrum_csv_blocks`, joined into one string."""
+    return "".join(spectrum_csv_blocks(spectrum))
 
 
 def spectrum_from_csv(text: str) -> Spectrum:

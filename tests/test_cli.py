@@ -3,9 +3,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import qrtw
 from qrtw import profile_from_csv, spectrum_from_csv
 from qrtw.cli import main, parse_config
 
@@ -425,3 +431,73 @@ def test_tol_must_be_positive_and_finite(capsys, command, tol):
     assert code == 1
     assert out == ""
     assert err.startswith("qrtw:") and "--tol" in err
+
+
+_SWAP = '{"a": [0, 0], "b": [1, 0], "c": [1, 0], "d": [0, 0]}'
+_THIRD_PI = repr(math.pi / 3)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the pinned commands
+        ("stationary", "--preset", "corollary3", "--out", "{out}"),
+        ("stationary", "--preset", "corollary3", "--delta", "0.4", "--window=-7:12", "--format", "json", "--out", "{out}"),
+        ("evolve", "--preset", "corollary3", "--out", "{out}", "--dump-every", "100"),
+        ("evolve", "--preset", "corollary3", "--delta", "0.4", "--format", "json", "--out", "{out}"),
+        ("spectrum", "--preset", "fig2", "--format", "json", "--out", "{out}"),
+        ("resonances", "--preset", "fig2", "--out", "{out}"),
+        # full reflector: T = 0, and no resonance residual (null)
+        ("stationary", "--p", _THIRD_PI, "--q", _THIRD_PI, "--barrier", _SWAP, "--m", "2", "--format", "json", "--out", "{out}"),
+        # trivial barrier: residual null; evolve settles too cleanly to fit a rate (null)
+        ("stationary", "--barrier", "identity", "--m", "2", "--format", "json", "--out", "{out}"),
+        ("evolve", "--barrier", "identity", "--m", "2", "--format", "json", "--out", "{out}"),
+        # alpha = 0: no roots, flagged all_resonant
+        ("resonances", "--alpha", "0", "--s", "1", "--m", "3", "--k", "0.1:5"),
+    ],
+    ids=[
+        "stationary", "stationary-driven", "evolve-snapshots", "evolve-driven", "spectrum-json",
+        "resonances", "full-reflector", "trivial-barrier", "evolve-no-rate", "resonances-alpha0",
+    ],
+)
+def test_json_output_is_strict(tmp_path, capsys, monkeypatch, argv):
+    flags = []
+    dumps = json.dumps
+
+    def recording_dumps(obj, **kwargs):
+        flags.append(kwargs.get("allow_nan", True))
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording_dumps)
+    code, _, err = _run(capsys, *(a.replace("{out}", str(tmp_path / "out")) for a in argv))
+    assert code == 0, err
+    assert flags and not any(flags)
+
+
+def test_spectrum_file_is_written_block_by_block(tmp_path):
+    # a CSV joined into one string before the write would alone reach the file size
+    out_file = tmp_path / "spec.csv"
+    tracemalloc.start()
+    try:
+        code = main(["spectrum", "--alpha", "2.5", "--s", "0.7", "--m", "5", "--k", "0.1:5:300000", "--out", str(out_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out_file.stat().st_size
+
+
+def test_closed_stdout_pipe_exits_1_quietly():
+    src = str(Path(qrtw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qrtw.cli", "spectrum", "--alpha", "1", "--s", "1", "--m", "3", "--k", "0.1:5:200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"k,T\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""

@@ -18,6 +18,7 @@ from qrtw import (
     find_resonances,
     resonance_residual,
     solve_closed_form,
+    spectrum_csv_blocks,
     spectrum_from_csv,
     spectrum_scan,
     spectrum_to_csv,
@@ -25,6 +26,7 @@ from qrtw import (
     transmission_at_k,
     vertex_coin,
 )
+from qrtw.qgraph import _BLOCK, _transmission_grid
 
 # located once by the brute bisection below and frozen; alpha=1, s=1, m=3
 FIRST_ROOT = 0.7248753428962931
@@ -267,6 +269,25 @@ def test_spectrum_csv_matches_row_loop_across_blocks():
     assert text == reference
     again = spectrum_from_csv(text)
     assert np.array_equal(again.k, spec.k) and np.array_equal(again.T, spec.T)
+
+
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_blockwise_scan_equals_whole_grid_kernel(n):
+    # the kernel runs one block at a time; the values must not notice
+    ks = np.linspace(0.1, 5.0, n)
+    spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)
+    assert np.array_equal(spec.k, ks)
+    assert np.array_equal(spec.T, _transmission_grid(2.5, 0.7, 5, ks))
+    threaded = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n, threads=2)
+    assert np.array_equal(threaded.k, spec.k) and np.array_equal(threaded.T, spec.T)
+
+
+def test_spectrum_csv_is_the_joined_blocks():
+    spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 2 * _BLOCK + 3)
+    blocks = list(spectrum_csv_blocks(spec))
+    assert blocks[0] == "k,T\n"
+    assert [b.count("\n") for b in blocks[1:]] == [_BLOCK, _BLOCK, 3]
+    assert spectrum_to_csv(spec) == "".join(blocks)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
