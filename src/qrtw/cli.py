@@ -7,11 +7,11 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 independent solution routes against each other and prints a pass/fail
 table).
 
-Exit codes: 0 success, 1 usage problems, a failed verify or a stdout
-closed by its reader (nothing more is written, not even to stderr), 2
-invalid model input, 3 numerical degeneracy, 4 no convergence.  All
-output is deterministic; floats are printed in shortest round-trip form
-and JSON is strict (no NaN or Infinity).
+Exit codes: 0 success, 1 usage problems, a failed write, a failed
+verify or a stdout closed by its reader (nothing more is written, not
+even to stderr), 2 invalid model input, 3 numerical degeneracy, 4 no
+convergence.  All output is deterministic; floats are printed in
+shortest round-trip form and JSON is strict (no NaN or Infinity).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ import math
 import os
 import sys
 import tempfile
+
+import numpy as np
 
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import init_lattice, run_to_convergence
@@ -38,7 +40,6 @@ from .scattering import (
     resonance_residual,
     solve_closed_form,
     solve_general,
-    stationary_measure,
 )
 from .series import t_series, t_series_limit, transmitted_tail_phase
 
@@ -277,21 +278,26 @@ _WRITE_SLICE = 1 << 20
 
 
 def _write_text(fh, text) -> None:
-    """Write ``text``, a ``str`` or an iterable of ``str`` blocks.
+    """Write ``text``, a ``str`` or a generator of ``str`` blocks.
 
     A ``str`` goes out in slices, so the encoder never copies all of it
     at once; blocks are written as they are produced, so the whole text
-    is never held.
+    is never held.  The generator is closed however the write ends, so
+    its clean-up (see :func:`_forked_map`) runs before this returns.
     """
     blocks = text
     if isinstance(text, str):
         blocks = (text[i : i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE))
-    for block in blocks:
-        fh.write(block)
+    try:
+        for block in blocks:
+            fh.write(block)
+    finally:
+        blocks.close()
 
 
 def _write_atomic(path: str, text) -> None:
-    """Write the whole artifact (see :func:`_write_text`), then rename into place."""
+    """Write the whole artifact (see :func:`_write_text`), then rename
+    into place; on any failure the partial file is removed."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrtw-", suffix=".part")
@@ -301,12 +307,70 @@ def _write_atomic(path: str, text) -> None:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             _write_text(fh, text)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         try:
             os.unlink(tmp)
         except OSError:
             pass
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise UsageError(f"cannot write {path}: {exc}") from None
+        raise
+
+
+def _forked_map(render, items):
+    """``map(render, items)``, with a forked worker rendering the
+    odd-numbered items while this process renders the even ones.
+
+    The worker sends each rendered ``str`` through a pipe behind an
+    8-byte length, and every item is yielded here in order, so this
+    process stays the only writer.  Fewer than two items, one usable CPU
+    (or no ``os.sched_getaffinity`` to tell), no ``os.fork`` or a failed
+    fork make it plain ``map``.  The worker inherits this process's
+    buffered files (the artifact, ``sys.stdout``), so it leaves only
+    through ``os._exit``, which flushes none of them.  Closing the pipe
+    ends it at its next write, and it is reaped however the iteration
+    ends.  A worker that stops early shows as a short read, which is a
+    UsageError.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(items) < 2 or cpus < 2 or not hasattr(os, "fork"):
+        yield from map(render, items)
+        return
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        yield from map(render, items)
+        return
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for item in items[1::2]:
+                    data = render(item).encode()
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    try:
+        with open(r, "rb") as pipe:
+            for i, item in enumerate(items):
+                if i % 2 == 0:
+                    yield render(item)
+                    continue
+                head = pipe.read(8)
+                size = int.from_bytes(head, "little")
+                data = pipe.read(size)
+                if len(head) < 8 or len(data) < size:
+                    raise UsageError("the process formatting alternate blocks stopped early")
+                yield data.decode()
+    finally:
+        os.waitpid(pid, 0)
 
 
 def _cjson(z: complex) -> list[float]:
@@ -314,13 +378,13 @@ def _cjson(z: complex) -> list[float]:
 
 
 def _profile_json(profile: AmplitudeProfile) -> str:
-    mu = stationary_measure(profile)
+    pl, pr = profile.psi_l, profile.psi_r
     payload = {
         "x_min": profile.x_min,
         "x_max": profile.x_max,
-        "psi_l": [_cjson(z) for z in profile.psi_l],
-        "psi_r": [_cjson(z) for z in profile.psi_r],
-        "mu": [mu[x] for x in profile.positions()],
+        "psi_l": [_cjson(z) for z in pl.tolist()],
+        "psi_r": [_cjson(z) for z in pr.tolist()],
+        "mu": (np.abs(pl) ** 2 + np.abs(pr) ** 2).tolist(),
     }
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -396,7 +460,7 @@ def _run_spectrum(args) -> int:
         }
         text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
-        text = spectrum_csv_blocks(spec)
+        text = spectrum_csv_blocks(spec, _forked_map)
     if args.out is not None:
         _write_atomic(args.out, text)
     else:

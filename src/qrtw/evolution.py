@@ -70,8 +70,10 @@ class EvolutionState:
     before the last step (for :func:`norm_check` and the convergence
     residual); each step writes into it, with one scratch buffer for
     the second product, and swaps it to the front, so ``psi_l`` and
-    ``psi_r`` alternate between two fixed arrays.  The state starts at
-    zero amplitude on a window checked like :func:`init_lattice`'s.
+    ``psi_r`` alternate between two fixed arrays.  The convergence
+    residual reuses the scratch buffer, with one real buffer
+    ``_moduli``.  The state starts at zero amplitude on a window checked
+    like :func:`init_lattice`'s.
     """
 
     cfg: TunnelingConfig
@@ -86,6 +88,7 @@ class EvolutionState:
     _back_l: np.ndarray = field(init=False, repr=False)
     _back_r: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
+    _moduli: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x_min, self.x_max = _check_window(self.cfg, (self.x_min, self.x_max))
@@ -94,6 +97,7 @@ class EvolutionState:
         self.psi_l, self.psi_r, self._back_l, self._back_r, self._scratch = (
             np.zeros(sites, dtype=complex) for _ in range(5)
         )
+        self._moduli = np.zeros(sites)
 
     @property
     def window(self) -> tuple[int, int]:
@@ -168,11 +172,25 @@ def step(state: EvolutionState) -> EvolutionState:
 
 def _compensated_residual(state: EvolutionState) -> float:
     """Sup-norm change of the last step with the drive phase divided
-    out, measured on the window interior (2-site margins excluded)."""
+    out, measured on the window interior (2-site margins excluded).
+
+    The differences go into the scratch buffer and their moduli into
+    ``_moduli``, so nothing is allocated.  ``undo`` multiplies the new
+    amplitudes as its left operand, because numpy's complex multiply is
+    not bitwise commutative; at zero drive ``undo`` is 1 and the
+    multiply is skipped, which changes the sign of a zero at most.
+    """
+    diff, moduli = state._scratch[2:-2], state._moduli[2:-2]
     undo = cmath.exp(-1j * state.cfg.delta)
-    dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
-    dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
-    return float(max(dl, dr))
+    sups = []
+    for now, before in ((state.psi_l, state._back_l), (state.psi_r, state._back_r)):
+        if state.cfg.delta != 0.0:
+            np.multiply(undo, now[2:-2], out=diff)
+            diff -= before[2:-2]
+        else:
+            np.subtract(now[2:-2], before[2:-2], out=diff)
+        sups.append(np.abs(diff, out=moduli).max())
+    return float(max(sups))
 
 
 @dataclass(frozen=True, slots=True)

@@ -381,19 +381,27 @@ def edge_wavefunction(
 _SPECTRUM_HEADER = "k,T"
 
 
-def spectrum_csv_blocks(spectrum: Spectrum):
-    """Yield a spectrum's ``k,T`` CSV as text blocks: the header line,
-    then :data:`_BLOCK` rows at a time.
+def _csv_block(spectrum: Spectrum, start: int) -> str:
+    """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
+    the header: the one per-block renderer."""
+    k = spectrum.k[start : start + _BLOCK].tolist()
+    T = spectrum.T[start : start + _BLOCK].tolist()
+    return "".join([f"{a!r},{b!r}\n" for a, b in zip(k, T)])
 
-    Rows are formatted straight from the arrays, so at most one block of
-    Python floats and one block of text are alive at once; a caller that
-    writes each block as it comes never holds the whole CSV.
+
+def spectrum_csv_blocks(spectrum: Spectrum, map_blocks=map):
+    """Yield a spectrum's ``k,T`` CSV as text blocks: the header line,
+    then :data:`_BLOCK` rows at a time, each rendered by :func:`_csv_block`.
+
+    ``map_blocks(render, starts)`` must yield ``render(start)`` for every
+    block start, in order.  The default renders them here, one after the
+    other; the CLI passes a map that renders alternate blocks in a forked
+    worker process.  Rows are formatted straight from the arrays, so a
+    caller that writes each block as it comes never holds the whole CSV.
     """
-    k, T = spectrum.k, spectrum.T
     yield _SPECTRUM_HEADER + "\n"
-    for i in range(0, len(k), _BLOCK):
-        j = i + _BLOCK
-        yield "".join([f"{a!r},{b!r}\n" for a, b in zip(k[i:j].tolist(), T[i:j].tolist())])
+    starts = range(0, len(spectrum), _BLOCK)
+    yield from map_blocks(lambda start: _csv_block(spectrum, start), starts)
 
 
 def spectrum_to_csv(spectrum: Spectrum) -> str:

@@ -543,9 +543,7 @@ def profile_to_csv(profile: AmplitudeProfile) -> str:
     reproduces the amplitudes bit for bit.
     """
     lines = [_CSV_HEADER]
-    for i, x in enumerate(profile.positions()):
-        l = complex(profile.psi_l[i])
-        r = complex(profile.psi_r[i])
+    for x, l, r in zip(profile.positions(), profile.psi_l.tolist(), profile.psi_r.tolist()):
         mu = abs(l) ** 2 + abs(r) ** 2
         lines.append(
             f"{x},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{mu!r}"

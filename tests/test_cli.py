@@ -7,13 +7,22 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
 import qrtw
-from qrtw import profile_from_csv, spectrum_from_csv
-from qrtw.cli import main, parse_config
+from qrtw import (
+    profile_from_csv,
+    spectrum_csv_blocks,
+    spectrum_from_csv,
+    spectrum_scan,
+    spectrum_to_csv,
+)
+from qrtw import qgraph
+from qrtw.cli import _forked_map, _write_text, main, parse_config
+from qrtw.qgraph import _BLOCK
 
 
 def _run(capsys, *argv):
@@ -501,3 +510,106 @@ def test_closed_stdout_pipe_exits_1_quietly():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert err == b""
+
+
+_TWO_PROCESS = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Report two usable CPUs and record the pid of every forked worker."""
+    pids = []
+    real_fork = os.fork
+
+    def spy():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+_SPEC_ARGS = ("spectrum", "--alpha", "2.5", "--s", "0.7", "--m", "5")
+
+
+@_TWO_PROCESS
+@pytest.mark.parametrize("n", [2, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_two_process_csv_equals_the_library_csv(tmp_path, capsys, forks, n):
+    out_file = tmp_path / "spec.csv"
+    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}", "--out", str(out_file))
+    assert code == 0 and err == ""
+    assert out_file.read_text() == spectrum_to_csv(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n))
+    assert len(forks) == (0 if n <= _BLOCK else 1)
+    _assert_reaped(forks)
+
+
+@pytest.mark.parametrize("cpus, forks_tried", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "failed-fork"])
+def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried):
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    out_file = tmp_path / "spec.csv"
+    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
+    assert code == 0 and err == ""
+    assert len(calls) == forks_tried
+    assert out_file.read_text() == spectrum_to_csv(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * _BLOCK))
+
+
+@_TWO_PROCESS
+def test_worker_is_reaped_when_the_blocks_are_closed_early(forks):
+    spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 6 * _BLOCK)
+    blocks = spectrum_csv_blocks(spec, _forked_map)
+    assert next(blocks) == "k,T\n"
+    first, second = next(blocks), next(blocks)  # the second one came from the worker
+    assert first + second == "".join(islice(spectrum_csv_blocks(spec), 1, 3))
+    assert len(forks) == 1
+    blocks.close()
+    _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+def test_worker_that_dies_fails_the_command_cleanly(tmp_path, capsys, forks, monkeypatch):
+    parent = os.getpid()
+    render = qgraph._csv_block
+
+    def dies_in_worker(spectrum, start):
+        if os.getpid() != parent:
+            os._exit(1)
+        return render(spectrum, start)
+
+    monkeypatch.setattr(qgraph, "_csv_block", dies_in_worker)
+    out_file = tmp_path / "spec.csv"
+    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("qrtw: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+def test_failed_write_closes_the_blocks_and_reaps_the_worker(forks):
+    class FullDisk:
+        def write(self, block):
+            if block != "k,T\n":
+                raise OSError(28, "No space left on device")
+
+    blocks = spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 4 * _BLOCK), _forked_map)
+    with pytest.raises(OSError):
+        _write_text(FullDisk(), blocks)
+    assert len(forks) == 1
+    _assert_reaped(forks)

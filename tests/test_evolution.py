@@ -28,6 +28,7 @@ from qrtw import (
     solve_closed_form,
     step,
 )
+from qrtw.evolution import _compensated_residual
 from qrtw.scattering import MAX_WINDOW_SITES
 
 
@@ -191,3 +192,19 @@ def test_oversize_window_is_refused_before_allocation(no_window_arrays):
     cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=3)
     with pytest.raises(ModelError, match="limit of 10000000"):
         init_lattice(cfg, (-MAX_WINDOW_SITES, 5))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37])
+def test_residual_equals_the_allocating_formula(delta):
+    def reference(state):
+        # the residual as written before it moved into the state's buffers
+        undo = cmath.exp(-1j * state.cfg.delta)
+        dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
+        dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
+        return float(max(dl, dr))
+
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=_rotation_with_bc(0.5), m=20, delta=delta)
+    state = init_lattice(cfg)
+    for _ in range(1500):
+        step(state)
+        assert _compensated_residual(state) == reference(state)
