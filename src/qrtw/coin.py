@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .errors import ModelError, NotUnitary
 
 UNITARITY_TOL = 1e-10
@@ -47,10 +45,6 @@ class Coin:
     b: complex
     c: complex
     d: complex
-
-    def as_matrix(self) -> np.ndarray:
-        """Return the coin as a fresh 2x2 complex ndarray."""
-        return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
 
 
 def unitarity_residual(a: complex, b: complex, c: complex, d: complex) -> float:

@@ -99,10 +99,6 @@ class EvolutionState:
         )
         self._moduli = np.zeros(sites)
 
-    @property
-    def window(self) -> tuple[int, int]:
-        return (self.x_min, self.x_max)
-
     def profile(self) -> AmplitudeProfile:
         """Drive-compensated copy of the amplitudes, ``psi * conj(injection_phase)``."""
         comp = self.injection_phase.conjugate()
@@ -204,7 +200,6 @@ class ConvergenceReport:
 
     steps: int
     residual: float
-    tol: float
     rate_per_round_trip: float | None
     round_trip_steps: int
 
@@ -253,7 +248,6 @@ def run_to_convergence(
     report = ConvergenceReport(
         steps=state.n,
         residual=residual,
-        tol=tol,
         rate_per_round_trip=rate,
         round_trip_steps=round_trip,
     )

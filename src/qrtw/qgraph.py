@@ -366,18 +366,6 @@ def edge_wave(
     return EdgeWave(gamma_a, gamma_abar, gp.k, gp.s)
 
 
-def edge_wavefunction(
-    profile: AmplitudeProfile,
-    gp: GraphParams,
-    terminus: int,
-    direction: str,
-    x: float,
-) -> complex:
-    """Continuum wavefunction at distance ``x`` from ``terminus`` along
-    the named incoming edge."""
-    return edge_wave(profile, gp, terminus, direction).value(x)
-
-
 _SPECTRUM_HEADER = "k,T"
 
 

@@ -48,13 +48,6 @@ _TRIVIAL_EPS = 1e-14
 MAX_WINDOW_SITES = 10_000_000
 
 
-class Method(enum.Enum):
-    """How a stationary solution was obtained."""
-
-    CLOSED_FORM = "closed_form"
-    LINEAR_SYSTEM = "linear_system"
-
-
 class Injection(enum.Enum):
     """Which side the driving plane wave comes from."""
 
@@ -129,9 +122,7 @@ class StationarySolution:
     t_tilde: complex
     T: float
     R: float
-    method: Method
     injection: Injection
-    delta: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -218,9 +209,7 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
         t_tilde=t_tilde,
         T=abs(t) ** 2,
         R=abs(r) ** 2,
-        method=Method.CLOSED_FORM,
         injection=Injection.LEFT,
-        delta=cfg.delta,
     )
 
 
@@ -410,9 +399,7 @@ def solve_general(
         t_tilde=fwd_r[-1],
         T=abs(t) ** 2,
         R=abs(r) ** 2,
-        method=Method.LINEAR_SYSTEM,
         injection=injection,
-        delta=float(delta),
     )
     return solution, AmplitudeProfile(x_min=lo, x_max=hi, psi_l=psi_l, psi_r=psi_r)
 
@@ -440,12 +427,6 @@ def resonance_residual(cfg: TunnelingConfig) -> float:
     if mod_bc >= 1.0 - _TRIVIAL_EPS:
         raise FullReflector(f"|bc| = {mod_bc:.17g}: barrier transmits nothing")
     return abs(determinant(cfg.barrier) * cfg.loop_det + 1.0)
-
-
-def stationary_measure(profile: AmplitudeProfile) -> dict[int, float]:
-    """Per-site probability weight ``|psi_l|**2 + |psi_r|**2``."""
-    mu = np.abs(profile.psi_l) ** 2 + np.abs(profile.psi_r) ** 2
-    return {profile.x_min + i: float(mu[i]) for i in range(len(mu))}
 
 
 def flux_balance(

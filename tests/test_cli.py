@@ -613,3 +613,24 @@ def test_failed_write_closes_the_blocks_and_reaps_the_worker(forks):
         _write_text(FullDisk(), blocks)
     assert len(forks) == 1
     _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+def test_artifacts_get_the_umask_mode(tmp_path, capsys, forks):
+    old = os.umask(0o022)
+    try:
+        st, spec, run = (tmp_path / name for name in ("st.csv", "spec.csv", "run.csv"))
+        assert _run(capsys, "stationary", "--preset", "corollary3", "--out", str(st))[0] == 0
+        assert _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{2 * _BLOCK + 1}", "--out", str(spec))[0] == 0
+        assert len(forks) == 1
+        assert _run(capsys, "evolve", "--preset", "corollary3", "--out", str(run), "--dump-every", "100")[0] == 0
+    finally:
+        os.umask(old)
+    for path in (st, spec, tmp_path / "run_n100.csv"):
+        assert path.stat().st_mode & 0o777 == 0o644, path.name
+
+
+def test_star_import_provides_every_export():
+    ns = {}
+    exec("from qrtw import *", ns)
+    assert [name for name in qrtw.__all__ if name not in ns] == []

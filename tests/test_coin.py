@@ -90,13 +90,6 @@ def test_determinant_modulus_one_random():
         assert abs(abs(determinant(u)) - 1.0) < 1e-12
 
 
-def test_as_matrix_matches_entries():
-    u = hadamard()
-    mat = u.as_matrix()
-    assert mat.shape == (2, 2)
-    assert mat[0, 1] == u.b and mat[1, 0] == u.c
-
-
 def test_beta_decompose_identities():
     rng = np.random.default_rng(7)
     for _ in range(300):

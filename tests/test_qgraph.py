@@ -14,7 +14,6 @@ from qrtw import (
     Spectrum,
     build_profile,
     edge_wave,
-    edge_wavefunction,
     find_resonances,
     resonance_residual,
     solve_closed_form,
@@ -235,7 +234,6 @@ def test_edge_wave_window_and_argument_checks():
         wave.value(-0.1)
     with pytest.raises(ModelError):
         wave.value(gp.s + 0.1)
-    assert edge_wavefunction(prof, gp, 0, "rightward", 0.25) == wave.value(0.25)
 
 
 def test_spectrum_arrays_are_read_only_and_match_samples():
