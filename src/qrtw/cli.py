@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import init_lattice, run_to_convergence
-from .qgraph import find_resonances, spectrum_csv_blocks, spectrum_scan
+from .qgraph import _BLOCK, find_resonances, spectrum_csv_blocks, spectrum_scan
 from .scattering import (
     AmplitudeProfile,
     Injection,
@@ -274,25 +274,21 @@ def parse_config(argv=None) -> argparse.Namespace:
     return args
 
 
-_WRITE_SLICE = 1 << 20
-
-
 def _write_text(fh, text) -> None:
     """Write ``text``, a ``str`` or a generator of ``str`` blocks.
 
-    A ``str`` goes out in slices, so the encoder never copies all of it
-    at once; blocks are written as they are produced, so the whole text
-    is never held.  The generator is closed however the write ends, so
-    its clean-up (see :func:`_forked_map`) runs before this returns.
+    Blocks are written as they are produced, so the whole text is never
+    held.  The generator is closed however the write ends, so its
+    clean-up (see :func:`_forked_map`) runs before this returns.
     """
-    blocks = text
     if isinstance(text, str):
-        blocks = (text[i : i + _WRITE_SLICE] for i in range(0, len(text), _WRITE_SLICE))
+        fh.write(text)
+        return
     try:
-        for block in blocks:
+        for block in text:
             fh.write(block)
     finally:
-        blocks.close()
+        text.close()
 
 
 def _write_atomic(path: str, text) -> None:
@@ -453,18 +449,27 @@ def _run_evolve(args) -> int:
     return 0
 
 
+def _spectrum_json(args, spec):
+    """Yield the spectrum's JSON document: ``alpha``, ``s``, ``m``, then
+    the ``k`` and ``T`` arrays, laid out as ``json.dumps(..., indent=2)``
+    lays them out.  Each array is formatted :data:`_BLOCK` numbers at a
+    time, so neither its list of floats nor the whole text is held."""
+    head = {"alpha": args.alpha, "s": args.s, "m": args.m}
+    yield json.dumps(head, indent=2, allow_nan=False)[:-2]
+    for name, values in (("k", spec.k), ("T", spec.T)):
+        yield f',\n  "{name}": [\n    '
+        for i in range(0, len(values), _BLOCK):
+            block = json.dumps(values[i : i + _BLOCK].tolist(), separators=(",\n    ", ": "), allow_nan=False)
+            yield (",\n    " if i else "") + block[1:-1]
+        yield "\n  ]"
+    yield "\n}\n"
+
+
 def _run_spectrum(args) -> int:
     k_min, k_max, n = args.k
     spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
     if args.fmt == "json":
-        payload = {
-            "alpha": args.alpha,
-            "s": args.s,
-            "m": args.m,
-            "k": spec.k.tolist(),
-            "T": spec.T.tolist(),
-        }
-        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+        text = _spectrum_json(args, spec)
     else:
         text = spectrum_csv_blocks(spec, _forked_map)
     if args.out is not None:

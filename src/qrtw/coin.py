@@ -62,19 +62,13 @@ def unitarity_residual(a: complex, b: complex, c: complex, d: complex) -> float:
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
 
-def make_coin(
-    a: complex, b: complex, c: complex, d: complex, *, tol: float = UNITARITY_TOL
-) -> Coin:
+def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
     """Validate entries and build a :class:`Coin`.
 
     Parameters
     ----------
     a, b, c, d :
         Matrix entries, row-major.  Anything ``complex()`` accepts.
-    tol :
-        Largest unitarity residual to accept.  The default admits
-        entries that went through text round-trips with rounded
-        decimals; exactly constructed coins sit far below it.
 
     Returns
     -------
@@ -85,14 +79,17 @@ def make_coin(
     Raises
     ------
     NotUnitary
-        If the :func:`unitarity_residual` is above ``tol`` or not a
-        number (a NaN or infinite entry).  The message reports it.
+        If the :func:`unitarity_residual` is above :data:`UNITARITY_TOL`
+        or not a number (a NaN or infinite entry).  The message reports
+        it.  The tolerance admits entries that went through text
+        round-trips with rounded decimals; exactly constructed coins sit
+        far below it.
     """
     a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     residual = unitarity_residual(a, b, c, d)
-    if not residual <= tol:
+    if not residual <= UNITARITY_TOL:
         raise NotUnitary(
-            f"matrix is not unitary: residual {residual:.3e} (tol {tol:.1e})"
+            f"matrix is not unitary: residual {residual:.3e} (tol {UNITARITY_TOL:.1e})"
         )
     return Coin(a, b, c, d)
 
@@ -156,15 +153,6 @@ class BetaDecomposition:
         """The mixing weight ``|beta|**2``, a real number in [0, 1]."""
         return abs(self.beta) ** 2
 
-    def reassemble(self) -> Coin:
-        """Rebuild the source coin from the factors."""
-        return Coin(
-            self.u * self.alpha,
-            self.u * self.beta.conjugate(),
-            self.v * self.beta,
-            -self.v * self.alpha,
-        )
-
 
 def beta_decompose(u: Coin) -> BetaDecomposition:
     """Split a coin into channel phases and a real mixing pair.
@@ -173,7 +161,8 @@ def beta_decompose(u: Coin) -> BetaDecomposition:
     -------
     BetaDecomposition
         With ``alpha >= 0``, ``alpha**2 + |beta|**2 == 1`` up to
-        roundoff, and the reassembly identity holding entrywise.
+        roundoff, and the factorization of :class:`BetaDecomposition`
+        holding entrywise.
 
     Notes
     -----
@@ -201,15 +190,6 @@ def beta_decompose(u: Coin) -> BetaDecomposition:
     )
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def coin_to_json(u: Coin) -> dict[str, list[float]]:
-    """Entrywise JSON form: each entry as a ``[re, im]`` pair."""
-    return {"a": _pair(u.a), "b": _pair(u.b), "c": _pair(u.c), "d": _pair(u.d)}
-
-
 def finite_number(value: Any, what: str) -> float:
     """``float(value)``, or ModelError naming ``what`` if it is malformed or not finite."""
     try:
@@ -233,7 +213,7 @@ def integer_number(value: Any, what: str) -> int:
 
 
 def coin_from_json(data: Any) -> Coin:
-    """Rebuild a coin from :func:`coin_to_json` output or a named preset.
+    """Read a coin from its JSON form: entries or a named preset.
 
     Accepted forms: the entrywise dict of ``[re, im]`` pairs, the
     strings ``"identity"`` and ``"hadamard"``, ``{"hwp": theta}`` for a

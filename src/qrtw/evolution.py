@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,7 +228,8 @@ def run_to_convergence(
     if max_steps is None:
         max_steps = default_max_steps(state.cfg)
     round_trip = 2 * state.cfg.m
-    history: list[float] = []
+    span = 3 * round_trip
+    history: deque[float] = deque(maxlen=span + 1)  # the rate fit reads both ends
     residual = math.inf
     for _ in range(max_steps):
         residual = _compensated_residual(step(state))
@@ -241,10 +243,9 @@ def run_to_convergence(
             f"no convergence after {max_steps} steps: "
             f"residual {residual:.3e} above tol {tol:.3e}"
         )
-    span = 3 * round_trip
     rate = None
-    if len(history) > span and history[-1 - span] > 0 and history[-1] > 0:
-        rate = (history[-1] / history[-1 - span]) ** (round_trip / span)
+    if len(history) > span and history[0] > 0 and history[-1] > 0:
+        rate = (history[-1] / history[0]) ** (round_trip / span)
     report = ConvergenceReport(
         steps=state.n,
         residual=residual,

@@ -34,7 +34,7 @@ MAX_RESONANCES = 100_000
 """Largest root count ``find_resonances`` enumerates; checked before the first bisection."""
 
 _BLOCK = 1 << 14
-"""Grid points per block, in the T(k) kernel and in the CSV formatter."""
+"""Grid points per block, in the T(k) kernel and in the CSV and JSON formatters."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -305,9 +305,7 @@ class EdgeWave:
     """Wavefunction on one directed edge, parametrized by the distance
     ``x`` in ``[0, s]`` from the edge's terminal vertex.
 
-    ``value(x) = gamma_a e^{-ikx} + gamma_abar e^{-ik(s-x)}``; the
-    reversed edge swaps the two coefficients, so
-    ``value(x) == reversed().value(s - x)`` holds by construction.
+    ``value(x) = gamma_a e^{-ikx} + gamma_abar e^{-ik(s-x)}``.
     """
 
     gamma_a: complex
@@ -321,16 +319,6 @@ class EdgeWave:
         return self.gamma_a * cmath.exp(-1j * self.k * x) + self.gamma_abar * cmath.exp(
             -1j * self.k * (self.s - x)
         )
-
-    def derivative(self, x: float) -> complex:
-        if x < 0.0 or x > self.s:
-            raise ModelError(f"x must lie in [0, {self.s}], got {x}")
-        return -1j * self.k * self.gamma_a * cmath.exp(-1j * self.k * x) + (
-            1j * self.k
-        ) * self.gamma_abar * cmath.exp(-1j * self.k * (self.s - x))
-
-    def reversed(self) -> "EdgeWave":
-        return EdgeWave(self.gamma_abar, self.gamma_a, self.k, self.s)
 
 
 def edge_wave(
@@ -366,9 +354,6 @@ def edge_wave(
     return EdgeWave(gamma_a, gamma_abar, gp.k, gp.s)
 
 
-_SPECTRUM_HEADER = "k,T"
-
-
 def _csv_block(spectrum: Spectrum, start: int) -> str:
     """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
     the header: the one per-block renderer."""
@@ -387,27 +372,7 @@ def spectrum_csv_blocks(spectrum: Spectrum, map_blocks=map):
     worker process.  Rows are formatted straight from the arrays, so a
     caller that writes each block as it comes never holds the whole CSV.
     """
-    yield _SPECTRUM_HEADER + "\n"
+    yield "k,T\n"
     starts = range(0, len(spectrum), _BLOCK)
     yield from map_blocks(lambda start: _csv_block(spectrum, start), starts)
 
-
-def spectrum_to_csv(spectrum: Spectrum) -> str:
-    """Serialize a spectrum as ``k,T`` lines (header included): the
-    blocks of :func:`spectrum_csv_blocks`, joined into one string."""
-    return "".join(spectrum_csv_blocks(spectrum))
-
-
-def spectrum_from_csv(text: str) -> Spectrum:
-    """Parse the output of :func:`spectrum_to_csv`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != _SPECTRUM_HEADER:
-        raise ModelError("spectrum CSV must start with the header 'k,T'")
-    ks, ts = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise ModelError(f"malformed spectrum row: {ln!r}")
-        ks.append(float(parts[0]))
-        ts.append(float(parts[1]))
-    return Spectrum(np.array(ks), np.array(ts))

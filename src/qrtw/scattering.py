@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, coin_from_json, coin_to_json, determinant, finite_number, integer_number
+from .coin import Coin, beta_decompose, coin_from_json, determinant, finite_number, integer_number
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -559,19 +559,8 @@ def profile_from_csv(text: str) -> AmplitudeProfile:
     return AmplitudeProfile(x_min=xs[0], x_max=xs[-1], psi_l=psi_l, psi_r=psi_r)
 
 
-def config_to_json(cfg: TunnelingConfig) -> dict:
-    """JSON-ready dict form of a config."""
-    return {
-        "p": cfg.p,
-        "q": cfg.q,
-        "barrier": coin_to_json(cfg.barrier),
-        "m": cfg.m,
-        "delta": cfg.delta,
-    }
-
-
 def config_from_json(data: dict) -> TunnelingConfig:
-    """Rebuild a config from its dict form.
+    """Read a config from its JSON object form, as in a ``--config`` file.
 
     ``barrier`` accepts anything :func:`qrtw.coin.coin_from_json`
     accepts, presets included.  ``delta`` defaults to 0 when absent.

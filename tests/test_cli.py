@@ -13,13 +13,7 @@ from pathlib import Path
 import pytest
 
 import qrtw
-from qrtw import (
-    profile_from_csv,
-    spectrum_csv_blocks,
-    spectrum_from_csv,
-    spectrum_scan,
-    spectrum_to_csv,
-)
+from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
 from qrtw import qgraph
 from qrtw.cli import _forked_map, _write_text, main, parse_config
 from qrtw.qgraph import _BLOCK
@@ -188,9 +182,9 @@ def test_dump_every_requires_out(capsys):
 def test_spectrum_stdout_csv(capsys):
     code, out, _ = _run(capsys, "spectrum", "--alpha", "1", "--s", "1", "--m", "3", "--k", "0.5:1.5:33")
     assert code == 0
-    samples = spectrum_from_csv(out)
-    assert len(samples) == 33
-    assert samples[0].k == pytest.approx(0.5)
+    lines = out.splitlines()
+    assert lines[0] == "k,T" and len(lines) == 34
+    assert float(lines[1].split(",")[0]) == pytest.approx(0.5)
 
 
 def test_spectrum_json_format(tmp_path, capsys):
@@ -304,6 +298,26 @@ def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
     )
     assert code == 0
     assert _sha256(out_file.read_bytes()) == "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f"
+
+
+def test_multi_block_spectrum_json_bytes_are_pinned(tmp_path, capsys):
+    # fixed from the document built whole by one json.dumps, before streaming
+    out_file = tmp_path / "spec.json"
+    code, _, _ = _run(
+        capsys,
+        "spectrum", "--alpha", "2.5", "--s", "0.7", "--m", "5", "--k", "0.1:5:100000",
+        "--format", "json", "--out", str(out_file),
+    )
+    assert code == 0
+    assert _sha256(out_file.read_bytes()) == "8b442c799f7ab0e7143bd9742dfbe39bd7a9fdd68d8060f5e3d44a94c90d7e5c"
+
+
+def test_resonances_bytes_are_pinned(tmp_path, capsys):
+    out_file = tmp_path / "roots.json"
+    code, out, _ = _run(capsys, "resonances", "--preset", "fig2", "--out", str(out_file))
+    assert code == 0
+    assert _sha256(out.encode()) == "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767"
+    assert _sha256(out_file.read_bytes()) == "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767"
 
 
 @pytest.mark.parametrize(
@@ -496,6 +510,19 @@ def test_spectrum_file_is_written_block_by_block(tmp_path):
     assert peak < out_file.stat().st_size
 
 
+def test_spectrum_json_is_written_block_by_block(tmp_path):
+    # the document built whole would alone reach the file size
+    out_file = tmp_path / "spec.json"
+    tracemalloc.start()
+    try:
+        code = main([*_SPEC_ARGS, "--k", "0.1:5:200000", "--format", "json", "--out", str(out_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out_file.stat().st_size
+
+
 def test_closed_stdout_pipe_exits_1_quietly():
     src = str(Path(qrtw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -547,7 +574,7 @@ def test_two_process_csv_equals_the_library_csv(tmp_path, capsys, forks, n):
     out_file = tmp_path / "spec.csv"
     code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}", "--out", str(out_file))
     assert code == 0 and err == ""
-    assert out_file.read_text() == spectrum_to_csv(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n))
+    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)))
     assert len(forks) == (0 if n <= _BLOCK else 1)
     _assert_reaped(forks)
 
@@ -566,7 +593,7 @@ def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks
     code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
     assert code == 0 and err == ""
     assert len(calls) == forks_tried
-    assert out_file.read_text() == spectrum_to_csv(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * _BLOCK))
+    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * _BLOCK)))
 
 
 @_TWO_PROCESS

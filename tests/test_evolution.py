@@ -3,6 +3,7 @@ stationary solvers."""
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qrtw import (
     free_coin,
     from_profile,
     hadamard,
+    half_wave_plate,
     init_lattice,
     make_coin,
     norm_check,
@@ -136,6 +138,21 @@ def test_no_convergence_budget():
     cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=2)
     with pytest.raises(NoConvergence, match="7 steps"):
         run_to_convergence(init_lattice(cfg), tol=1e-12, max_steps=7)
+
+
+def test_long_run_keeps_a_bounded_residual_history():
+    # 5000 residuals held as floats would take about 160 kB; the rate fit
+    # needs only the last 3 round trips of them
+    cfg = TunnelingConfig(p=0.0, q=0.0, barrier=half_wave_plate(0.783), m=3)
+    state = init_lattice(cfg, (-6, 9))
+    tracemalloc.start()
+    try:
+        with pytest.raises(NoConvergence):
+            run_to_convergence(state, tol=1e-300, max_steps=5000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000
 
 
 def test_full_reflector_still_converges():

@@ -18,9 +18,7 @@ from qrtw import (
     resonance_residual,
     solve_closed_form,
     spectrum_csv_blocks,
-    spectrum_from_csv,
     spectrum_scan,
-    spectrum_to_csv,
     to_tunneling_config,
     transmission_at_k,
     vertex_coin,
@@ -161,27 +159,9 @@ def test_spectrum_scan_grid_and_threads():
         spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 1)
 
 
-def test_spectrum_csv_round_trip():
-    samples = spectrum_scan(1.0, 1.0, 3, 0.1, 1.0, 16)
-    text = spectrum_to_csv(samples)
-    again = spectrum_from_csv(text)
-    assert all(a.k == b.k and a.T == b.T for a, b in zip(samples, again))
-    with pytest.raises(ModelError):
-        spectrum_from_csv("wavenumber,T\n1,1\n")
-
-
 def _stationary_profile(gp):
     cfg = to_tunneling_config(gp)
     return build_profile(solve_closed_form(cfg), cfg, (-6, gp.m + 6))
-
-
-def test_edge_wave_symmetry_identity():
-    gp = GraphParams(2.0, 0.7, 2, 1.3)
-    prof = _stationary_profile(gp)
-    wave = edge_wave(prof, gp, 0, "rightward")
-    back = wave.reversed()
-    for x in (0.0, 0.2, 0.35, 0.7):
-        assert abs(wave.value(x) - back.value(gp.s - x)) < 1e-12
 
 
 def test_edge_waves_meet_continuously_at_vertices():
@@ -209,15 +189,6 @@ def test_edge_wave_derivative_jump_matches_potential():
 
         total = slope(rw) + slope(lw)
         assert abs(total - strength * rw.value(0.0)) < 1e-8
-
-
-def test_edge_wave_analytic_derivative():
-    gp = GraphParams(1.0, 1.0, 3, 0.9)
-    prof = _stationary_profile(gp)
-    wave = edge_wave(prof, gp, 1, "leftward")
-    h = 1e-7
-    fd = (wave.value(0.5 + h) - wave.value(0.5 - h)) / (2.0 * h)
-    assert abs(wave.derivative(0.5) - fd) < 1e-6
 
 
 def test_edge_wave_window_and_argument_checks():
@@ -263,10 +234,11 @@ def test_spectrum_csv_matches_row_loop_across_blocks():
     # more rows than one formatting block, compared with the plain per-row loop
     spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * 2**16 + 5)
     reference = "k,T\n" + "".join(f"{smp.k!r},{smp.T!r}\n" for smp in spec)
-    text = spectrum_to_csv(spec)
+    text = "".join(spectrum_csv_blocks(spec))
     assert text == reference
-    again = spectrum_from_csv(text)
-    assert np.array_equal(again.k, spec.k) and np.array_equal(again.T, spec.T)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert np.array_equal([float(k) for k, _ in rows], spec.k)
+    assert np.array_equal([float(t) for _, t in rows], spec.T)
 
 
 @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
@@ -285,7 +257,8 @@ def test_spectrum_csv_is_the_joined_blocks():
     blocks = list(spectrum_csv_blocks(spec))
     assert blocks[0] == "k,T\n"
     assert [b.count("\n") for b in blocks[1:]] == [_BLOCK, _BLOCK, 3]
-    assert spectrum_to_csv(spec) == "".join(blocks)
+    # any map that renders every block in order gives the same text
+    assert "".join(spectrum_csv_blocks(spec, lambda f, xs: list(map(f, xs)))) == "".join(blocks)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
