@@ -7,6 +7,14 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 independent solution routes against each other and prints a pass/fail
 table).
 
+``evolve --dump-every N`` on two or more usable CPUs forks one worker
+at the first snapshot; this process sends it each snapshot's
+amplitudes through a pipe and keeps stepping, while the worker renders
+and writes the snapshot files.  The bytes are the serial path's, and
+this process still writes the final ``--out`` file.  One CPU, no
+``os.fork``, a failed fork or a run that ends before its first
+snapshot keep the serial path; the library never forks.
+
 Exit codes: 0 success, 1 usage problems, a failed write, a failed
 verify or a stdout closed by its reader (nothing more is written, not
 even to stderr), 2 invalid model input, 3 numerical degeneracy, 4 no
@@ -269,7 +277,10 @@ def parse_config(argv=None) -> argparse.Namespace:
     if args.command is None:
         raise UsageError("a command is required (stationary, evolve, spectrum, resonances, verify)")
     args.build(args)
-    if getattr(args, "dump_every", None) is not None and args.out is None:
+    out = getattr(args, "out", None)
+    if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
+        raise UsageError(f"--out must name a file, not a directory: {out}")
+    if getattr(args, "dump_every", None) is not None and out is None:
         raise UsageError("--dump-every needs --out to name the snapshot files")
     return args
 
@@ -319,23 +330,29 @@ def _write_atomic(path: str, text) -> None:
         raise
 
 
+def _worker_can_run() -> bool:
+    """Whether a forked worker can run beside this process: ``os.fork``
+    exists and two or more CPUs are usable (one, when
+    ``os.sched_getaffinity`` cannot tell)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return cpus >= 2 and hasattr(os, "fork")
+
+
 def _forked_map(render, items):
     """``map(render, items)``, with a forked worker rendering the
     odd-numbered items while this process renders the even ones.
 
     The worker sends each rendered ``str`` through a pipe behind an
     8-byte length, and every item is yielded here in order, so this
-    process stays the only writer.  Fewer than two items, one usable CPU
-    (or no ``os.sched_getaffinity`` to tell), no ``os.fork`` or a failed
-    fork make it plain ``map``.  The worker inherits this process's
-    buffered files (the artifact, ``sys.stdout``), so it leaves only
-    through ``os._exit``, which flushes none of them.  Closing the pipe
-    ends it at its next write, and it is reaped however the iteration
-    ends.  A worker that stops early shows as a short read, which is a
-    UsageError.
+    process stays the only writer.  Fewer than two items, no
+    :func:`_worker_can_run` or a failed fork make it plain ``map``.  The
+    worker inherits this process's buffered files (the artifact,
+    ``sys.stdout``), so it leaves only through ``os._exit``, which
+    flushes none of them.  Closing the pipe ends it at its next write,
+    and it is reaped however the iteration ends.  A worker that stops
+    early shows as a short read, which is a UsageError.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(items) < 2 or cpus < 2 or not hasattr(os, "fork"):
+    if len(items) < 2 or not _worker_can_run():
         yield from map(render, items)
         return
     r, w = os.pipe()
@@ -423,18 +440,114 @@ def _run_stationary(args) -> int:
     return 0
 
 
+class _Snapshots:
+    """The ``on_step`` of ``evolve --dump-every``: every ``every`` steps
+    it writes the profile to ``<base>_n<step><ext>``.
+
+    At the first snapshot it forks one worker when :func:`_worker_can_run`.
+    From then on each snapshot goes to the worker through a pipe, as the
+    step number (8 bytes) and the raw bytes of the compensated ``psi_l``
+    and ``psi_r``, and this process goes back to stepping while the
+    worker renders and writes it.  A full pipe blocks the send until the
+    worker reads, so at most a pipe's worth (64 KiB on Linux, less than
+    one 4,241-site snapshot) waits beside the one being rendered.
+    Without a worker (one CPU, no ``os.fork``, a failed fork) each
+    snapshot is written here.
+    The worker inherits the buffered ``sys.stdout``, so it leaves only
+    through ``os._exit``.  :meth:`close` ends and reaps it; a worker that
+    failed then raises here as a UsageError, with the message it sent
+    back through a second pipe (a failed write's ``cannot write ...``).
+    A send to a worker that has failed raises BrokenPipeError, so the
+    caller must close in a ``finally``: the close's UsageError then
+    replaces it, as it replaces a NoConvergence.
+    """
+
+    def __init__(self, out: str, fmt: str, every: int):
+        self.base, self.ext = os.path.splitext(out)
+        self.fmt, self.every = fmt, every
+        self.forked = False  # set at the first snapshot, whatever the fork gave
+        self.worker = None  # (pid, snapshot pipe, message pipe) while one runs
+
+    def write(self, n: int, profile: AmplitudeProfile) -> None:
+        _write_atomic(f"{self.base}_n{n}{self.ext}", _render_profile(profile, self.fmt))
+
+    def __call__(self, st) -> None:
+        if st.n % self.every:
+            return
+        profile = st.profile()
+        if not self.forked:
+            self.forked = True
+            self.worker = self._fork(profile.window)
+        if self.worker is None:
+            self.write(st.n, profile)
+            return
+        pipe = self.worker[1]
+        pipe.write(st.n.to_bytes(8, "little"))
+        pipe.write(profile.psi_l)
+        pipe.write(profile.psi_r)
+        pipe.flush()
+
+    def _fork(self, window: tuple[int, int]):
+        if not _worker_can_run():
+            return None
+        r, w = os.pipe()
+        msg_r, msg_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (r, w, msg_r, msg_w):
+                os.close(fd)
+            return None
+        if pid == 0:
+            code = 1
+            try:
+                os.close(w)
+                os.close(msg_r)
+                code = self._serve(r, msg_w, window)
+            finally:
+                os._exit(code)
+        os.close(r)
+        os.close(msg_w)
+        return pid, open(w, "wb"), msg_r
+
+    def _serve(self, r: int, msg_w: int, window: tuple[int, int]) -> int:
+        """The worker: write every snapshot the pipe brings until it closes."""
+        sites = window[1] - window[0] + 1
+        with open(r, "rb") as pipe:
+            while head := pipe.read(8):
+                psi = np.frombuffer(pipe.read(2 * 16 * sites), dtype=complex)
+                try:
+                    self.write(int.from_bytes(head, "little"), AmplitudeProfile(*window, psi[:sites], psi[sites:]))
+                except UsageError as exc:
+                    os.write(msg_w, str(exc).encode())
+                    return 1
+        return 0
+
+    def close(self) -> None:
+        """End and reap the worker, if one runs; raise its failure."""
+        if self.worker is None:
+            return
+        pid, pipe, msg_r = self.worker
+        self.worker = None
+        try:
+            pipe.close()
+        except BrokenPipeError:
+            pass
+        _, status = os.waitpid(pid, 0)
+        with open(msg_r, "rb") as messages:
+            message = messages.read().decode()
+        if status:
+            raise UsageError(message or "the process writing snapshots stopped early")
+
+
 def _run_evolve(args) -> int:
     state = init_lattice(args.tunneling, args.window)
-    on_step = None
-    if args.dump_every is not None:
-        base, ext = os.path.splitext(args.out)
-        every = args.dump_every
-
-        def on_step(st):
-            if st.n % every == 0:
-                _write_atomic(f"{base}_n{st.n}{ext}", _render_profile(st.profile(), args.fmt))
-
-    profile, report = run_to_convergence(state, tol=args.tol, max_steps=args.max_steps, on_step=on_step)
+    snapshots = None if args.dump_every is None else _Snapshots(args.out, args.fmt, args.dump_every)
+    try:
+        profile, report = run_to_convergence(state, tol=args.tol, max_steps=args.max_steps, on_step=snapshots)
+    finally:
+        if snapshots is not None:
+            snapshots.close()
     payload = {
         "steps": report.steps,
         "residual": report.residual,

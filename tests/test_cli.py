@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 
 import qrtw
 from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
-from qrtw import qgraph
+from qrtw import cli, qgraph
 from qrtw.cli import _forked_map, _write_text, main, parse_config
 from qrtw.qgraph import _BLOCK
 
@@ -655,6 +656,135 @@ def test_artifacts_get_the_umask_mode(tmp_path, capsys, forks):
         os.umask(old)
     for path in (st, spec, tmp_path / "run_n100.csv"):
         assert path.stat().st_mode & 0o777 == 0o644, path.name
+
+
+def _evolve_into(directory, capsys, *argv):
+    """Run ``evolve`` on corollary3 with ``--out directory/run.csv``;
+    return the exit code, stdout, stderr and the bytes of every entry
+    left in the directory (``.part`` files included; None for a
+    directory) by name."""
+    directory.mkdir(exist_ok=True)
+    code, out, err = _run(capsys, "evolve", "--preset", "corollary3", "--out", str(directory / "run.csv"), *argv)
+    return code, out, err, {p.name: p.read_bytes() if p.is_file() else None for p in directory.iterdir()}
+
+
+@_TWO_PROCESS
+@pytest.mark.parametrize("extra", [(), ("--format", "json"), ("--delta", "0.4")], ids=["csv", "json", "driven"])
+def test_snapshot_worker_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, forks, extra):
+    forked = _evolve_into(tmp_path / "forked", capsys, "--dump-every", "50", *extra)
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+    serial = _evolve_into(tmp_path / "serial", capsys, "--dump-every", "50", *extra)
+    assert len(forks) == 1
+    code, out, err, files = forked
+    assert code == 0 and err == ""
+    assert len(files) == 1 + json.loads(out)["steps"] // 50
+    assert forked == serial
+
+
+@pytest.mark.parametrize("cpus, forks_tried", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "failed-fork"])
+def test_snapshots_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried):
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", fork, raising=False)
+    code, _, err, files = _evolve_into(tmp_path, capsys, "--dump-every", "100")
+    assert code == 0 and err == ""
+    assert len(calls) == forks_tried
+    assert sorted(files) == ["run.csv", "run_n100.csv", "run_n200.csv"]
+    # the digests pinned in test_evolve_snapshot_bytes_are_pinned
+    assert _sha256(files["run.csv"]) == "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e"
+    assert _sha256(files["run_n100.csv"]) == "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc"
+
+
+# Snapshots of corollary3 are 3.3 KB: every 50 steps they all fit in the
+# pipe, so a worker failure shows when it is closed; every step they
+# fill it, so the failure shows mid-run as a broken pipe.
+_EVERY = pytest.mark.parametrize("every", [50, 1], ids=["found-at-close", "found-mid-run"])
+
+
+@_TWO_PROCESS
+@_EVERY
+def test_snapshot_worker_that_dies_fails_the_command_cleanly(tmp_path, capsys, monkeypatch, forks, every):
+    parent = os.getpid()
+    render = cli._render_profile
+
+    def dies_in_worker(profile, fmt):
+        if os.getpid() != parent:
+            os._exit(1)
+        return render(profile, fmt)
+
+    monkeypatch.setattr(cli, "_render_profile", dies_in_worker)
+    code, out, err, files = _evolve_into(tmp_path, capsys, "--dump-every", str(every))
+    assert code == 1 and out == ""
+    assert err.startswith("qrtw: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert files == {}
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+@_EVERY
+def test_failed_snapshot_write_reads_as_in_the_serial_path(tmp_path, capsys, monkeypatch, forks, every):
+    (tmp_path / "run_n100.csv").mkdir()  # the rename onto it fails
+    code, out, forked_err, files = _evolve_into(tmp_path, capsys, "--dump-every", str(every))
+    assert code == 1 and out == ""
+    assert sorted(files) == sorted(f"run_n{n}.csv" for n in range(every, 101, every))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _: {0}, raising=False)
+    code, out, serial_err, _ = _evolve_into(tmp_path, capsys, "--dump-every", str(every))
+    assert code == 1 and out == ""
+    assert serial_err.startswith(f"qrtw: cannot write {tmp_path / 'run_n100.csv'}: ")
+
+    def part_named(err):  # the temporary file's name is random
+        return re.sub(r"\.qrtw-[^/']*\.part", ".qrtw-*.part", err)
+
+    assert part_named(forked_err) == part_named(serial_err)
+
+
+@_TWO_PROCESS
+def test_step_budget_with_snapshots_exits_4_after_every_snapshot(tmp_path, capsys, forks):
+    code, out, err, files = _evolve_into(tmp_path, capsys, "--max-steps", "120", "--dump-every", "10")
+    assert code == 4 and out == ""
+    assert err.startswith("qrtw: no convergence after 120 steps") and err.count("\n") == 1
+    assert sorted(files) == sorted(f"run_n{n}.csv" for n in range(10, 121, 10))
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+def test_run_that_ends_before_its_first_snapshot_forks_nothing(tmp_path, capsys, forks):
+    code, _, err, files = _evolve_into(tmp_path, capsys, "--dump-every", "100000")
+    assert code == 0 and err == ""
+    assert list(files) == ["run.csv"]
+    assert forks == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stationary", "--preset", "corollary3"),
+        ("evolve", "--preset", "corollary3", "--dump-every", "50"),
+        ("spectrum", "--preset", "fig2"),
+        ("resonances", "--preset", "fig2"),
+    ],
+    ids=["stationary", "evolve", "spectrum", "resonances"],
+)
+@pytest.mark.parametrize("target", ["d", "d" + os.sep, "missing" + os.sep])
+def test_out_naming_a_directory_is_usage_error(tmp_path, capsys, argv, target):
+    (tmp_path / "d").mkdir()
+    code, out, err = _run(capsys, *argv, "--out", str(tmp_path) + os.sep + target)
+    assert code == 1 and out == ""
+    assert err.startswith("qrtw: --out must name a file") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_star_import_provides_every_export():

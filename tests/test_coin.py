@@ -35,7 +35,7 @@ def test_make_coin_rejects_nonunitary():
         make_coin(1.0, 1.0, 0.0, 1.0)
 
 
-def test_make_coin_tol_is_adjustable():
+def test_make_coin_enforces_unitarity_tol():
     # the tolerance is UNITARITY_TOL: a residual of 2e-8 is rejected, 2e-11 kept
     with pytest.raises(NotUnitary):
         make_coin(1.0 + 1e-8, 0.0, 0.0, 1.0)
