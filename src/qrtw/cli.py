@@ -7,13 +7,14 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 independent solution routes against each other and prints a pass/fail
 table).
 
-``evolve --dump-every N`` on two or more usable CPUs forks one worker
-at the first snapshot; this process sends it each snapshot's
-amplitudes through a pipe and keeps stepping, while the worker renders
-and writes the snapshot files.  The bytes are the serial path's, and
-this process still writes the final ``--out`` file.  One CPU, no
-``os.fork``, a failed fork or a run that ends before its first
-snapshot keep the serial path; the library never forks.
+On two or more usable CPUs, ``spectrum`` (CSV) and ``evolve
+--dump-every N`` each fork one worker (``_fork``): the first formats
+alternate CSV blocks for this process to write in order, the second
+renders and writes the snapshots this process sends it while it keeps
+stepping.  The bytes are the serial path's.  One CPU, no ``os.fork`` or
+a failed fork keep the serial path; the library never forks.  A worker
+failure exits 1 with one line: a failed write's ``cannot write ...``,
+else ``the worker process stopped early``.
 
 Exit codes: 0 success, 1 usage problems, a failed write, a failed
 verify or a stdout closed by its reader (nothing more is written, not
@@ -31,6 +32,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
 
 import numpy as np
 
@@ -312,7 +314,7 @@ def _write_atomic(path: str, text) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrtw-", suffix=".part")
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc}") from None
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             umask = os.umask(0)
@@ -326,7 +328,7 @@ def _write_atomic(path: str, text) -> None:
         except OSError:
             pass
         if isinstance(exc, OSError):
-            raise UsageError(f"cannot write {path}: {exc}") from None
+            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
         raise
 
 
@@ -338,58 +340,109 @@ def _worker_can_run() -> bool:
     return cpus >= 2 and hasattr(os, "fork")
 
 
-def _forked_map(render, items):
-    """``map(render, items)``, with a forked worker rendering the
-    odd-numbered items while this process renders the even ones.
+_STOPPED = "the worker process stopped early"
+_Worker = namedtuple("_Worker", "pid pipe messages")
 
-    The worker sends each rendered ``str`` through a pipe behind an
-    8-byte length, and every item is yielded here in order, so this
-    process stays the only writer.  Fewer than two items, no
-    :func:`_worker_can_run` or a failed fork make it plain ``map``.  The
-    worker inherits this process's buffered files (the artifact,
-    ``sys.stdout``), so it leaves only through ``os._exit``, which
-    flushes none of them.  Closing the pipe ends it at its next write,
-    and it is reaped however the iteration ends.  A worker that stops
-    early shows as a short read, which is a UsageError.
-    """
-    if len(items) < 2 or not _worker_can_run():
-        yield from map(render, items)
-        return
-    r, w = os.pipe()
+
+def _fork(serve, mode: str):
+    """Fork a worker that runs ``serve(pipe)`` and return a ``_Worker``,
+    or None (no :func:`_worker_can_run`, failed pipes or fork) for the
+    caller to work serially.  Frames (:func:`_send`) go one way over the
+    pipe; ``mode``, ``"rb"`` or ``"wb"``, is this process's end.  The
+    worker inherits buffered files (an artifact, ``sys.stdout``), so it
+    leaves only through ``os._exit``, which flushes none: 0 when ``serve``
+    returns or meets the pipe closed here, else 1, after sending a
+    UsageError's text back.  :func:`_join` it in a ``finally``."""
+    if not _worker_can_run():
+        return None
+    fds = []
     try:
+        fds += os.pipe()
+        fds += os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(r)
-        os.close(w)
-        yield from map(render, items)
-        return
+        for fd in fds:
+            os.close(fd)
+        return None
+    r, w, msg_r, msg_w = fds
+    ours, theirs = (r, w) if mode == "rb" else (w, r)
     if pid == 0:
         code = 1
         try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for item in items[1::2]:
-                    data = render(item).encode()
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
+            os.close(ours)
+            os.close(msg_r)
+            with open(theirs, "wb" if mode == "rb" else "rb") as pipe:
+                serve(pipe)
             code = 0
+        except BrokenPipeError:  # this process closed its end: a clean end
+            code = 0
+        except UsageError as exc:
+            os.write(msg_w, str(exc).encode())
         finally:
             os._exit(code)
-    os.close(w)
+    os.close(theirs)
+    os.close(msg_w)
+    return _Worker(pid, open(ours, mode), msg_r)
+
+
+def _send(pipe, data: bytes) -> None:
+    """Write one frame: the 8-byte length of ``data``, then ``data``."""
+    pipe.write(len(data).to_bytes(8, "little"))
+    pipe.write(data)
+    pipe.flush()
+
+
+def _recv(pipe) -> bytes | None:
+    """Read one frame, or None where the pipe ends between frames; a
+    frame cut short is a UsageError."""
+    head = pipe.read(8)
+    if not head:
+        return None
+    size = int.from_bytes(head, "little")
+    data = pipe.read(size)
+    if len(head) < 8 or len(data) < size:
+        raise UsageError(_STOPPED)
+    return data
+
+
+def _join(worker: _Worker) -> None:
+    """Close this process's end of the frame pipe, reap the worker and
+    raise its failure as a UsageError."""
     try:
-        with open(r, "rb") as pipe:
-            for i, item in enumerate(items):
-                if i % 2 == 0:
-                    yield render(item)
-                    continue
-                head = pipe.read(8)
-                size = int.from_bytes(head, "little")
-                data = pipe.read(size)
-                if len(head) < 8 or len(data) < size:
-                    raise UsageError("the process formatting alternate blocks stopped early")
-                yield data.decode()
+        worker.pipe.close()
+    except BrokenPipeError:  # the worker stopped reading; its status says why
+        pass
+    _, status = os.waitpid(worker.pid, 0)
+    with open(worker.messages, "rb") as messages:
+        message = messages.read().decode()
+    if status:
+        raise UsageError(message or _STOPPED)
+
+
+def _forked_map(render, items):
+    """``map(render, items)``, with a worker (:func:`_fork`) rendering
+    the odd-numbered items while this process renders the even ones and
+    yields every item in order, so it stays the only writer."""
+
+    def serve(pipe):
+        for item in items[1::2]:
+            _send(pipe, render(item).encode())
+
+    worker = _fork(serve, "rb") if len(items) > 1 else None
+    if worker is None:
+        yield from map(render, items)
+        return
+    try:
+        for i, item in enumerate(items):
+            if i % 2 == 0:
+                yield render(item)
+                continue
+            data = _recv(worker.pipe)
+            if data is None:
+                raise UsageError(_STOPPED)
+            yield data.decode()
     finally:
-        os.waitpid(pid, 0)
+        _join(worker)
 
 
 def _cjson(z: complex) -> list[float]:
@@ -444,29 +497,19 @@ class _Snapshots:
     """The ``on_step`` of ``evolve --dump-every``: every ``every`` steps
     it writes the profile to ``<base>_n<step><ext>``.
 
-    At the first snapshot it forks one worker when :func:`_worker_can_run`.
-    From then on each snapshot goes to the worker through a pipe, as the
-    step number (8 bytes) and the raw bytes of the compensated ``psi_l``
-    and ``psi_r``, and this process goes back to stepping while the
-    worker renders and writes it.  A full pipe blocks the send until the
-    worker reads, so at most a pipe's worth (64 KiB on Linux, less than
-    one 4,241-site snapshot) waits beside the one being rendered.
-    Without a worker (one CPU, no ``os.fork``, a failed fork) each
-    snapshot is written here.
-    The worker inherits the buffered ``sys.stdout``, so it leaves only
-    through ``os._exit``.  :meth:`close` ends and reaps it; a worker that
-    failed then raises here as a UsageError, with the message it sent
-    back through a second pipe (a failed write's ``cannot write ...``).
-    A send to a worker that has failed raises BrokenPipeError, so the
-    caller must close in a ``finally``: the close's UsageError then
-    replaces it, as it replaces a NoConvergence.
-    """
+    At the first snapshot it tries :func:`_fork`.  A worker then gets
+    each snapshot as one frame, the step number (8 bytes) and the raw
+    bytes of the compensated ``psi_l`` and ``psi_r``, and writes it while
+    this process steps on; a full pipe (64 KiB on Linux) blocks the send.
+    A send to a failed worker raises BrokenPipeError, so :meth:`close`
+    must run in a ``finally``: the worker's failure it raises replaces
+    that, as it replaces a NoConvergence."""
 
     def __init__(self, out: str, fmt: str, every: int):
         self.base, self.ext = os.path.splitext(out)
         self.fmt, self.every = fmt, every
         self.forked = False  # set at the first snapshot, whatever the fork gave
-        self.worker = None  # (pid, snapshot pipe, message pipe) while one runs
+        self.worker = None
 
     def write(self, n: int, profile: AmplitudeProfile) -> None:
         _write_atomic(f"{self.base}_n{n}{self.ext}", _render_profile(profile, self.fmt))
@@ -477,67 +520,24 @@ class _Snapshots:
         profile = st.profile()
         if not self.forked:
             self.forked = True
-            self.worker = self._fork(profile.window)
+            self.worker = _fork(lambda pipe: self._serve(pipe, profile.window), "wb")
         if self.worker is None:
             self.write(st.n, profile)
-            return
-        pipe = self.worker[1]
-        pipe.write(st.n.to_bytes(8, "little"))
-        pipe.write(profile.psi_l)
-        pipe.write(profile.psi_r)
-        pipe.flush()
+        else:
+            _send(self.worker.pipe, b"".join((st.n.to_bytes(8, "little"), profile.psi_l, profile.psi_r)))
 
-    def _fork(self, window: tuple[int, int]):
-        if not _worker_can_run():
-            return None
-        r, w = os.pipe()
-        msg_r, msg_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (r, w, msg_r, msg_w):
-                os.close(fd)
-            return None
-        if pid == 0:
-            code = 1
-            try:
-                os.close(w)
-                os.close(msg_r)
-                code = self._serve(r, msg_w, window)
-            finally:
-                os._exit(code)
-        os.close(r)
-        os.close(msg_w)
-        return pid, open(w, "wb"), msg_r
-
-    def _serve(self, r: int, msg_w: int, window: tuple[int, int]) -> int:
+    def _serve(self, pipe, window: tuple[int, int]) -> None:
         """The worker: write every snapshot the pipe brings until it closes."""
-        sites = window[1] - window[0] + 1
-        with open(r, "rb") as pipe:
-            while head := pipe.read(8):
-                psi = np.frombuffer(pipe.read(2 * 16 * sites), dtype=complex)
-                try:
-                    self.write(int.from_bytes(head, "little"), AmplitudeProfile(*window, psi[:sites], psi[sites:]))
-                except UsageError as exc:
-                    os.write(msg_w, str(exc).encode())
-                    return 1
-        return 0
+        while (frame := _recv(pipe)) is not None:
+            psi = np.frombuffer(frame, dtype=complex, offset=8)
+            sites = len(psi) // 2
+            self.write(int.from_bytes(frame[:8], "little"), AmplitudeProfile(*window, psi[:sites], psi[sites:]))
 
     def close(self) -> None:
         """End and reap the worker, if one runs; raise its failure."""
-        if self.worker is None:
-            return
-        pid, pipe, msg_r = self.worker
-        self.worker = None
-        try:
-            pipe.close()
-        except BrokenPipeError:
-            pass
-        _, status = os.waitpid(pid, 0)
-        with open(msg_r, "rb") as messages:
-            message = messages.read().decode()
-        if status:
-            raise UsageError(message or "the process writing snapshots stopped early")
+        worker, self.worker = self.worker, None
+        if worker is not None:
+            _join(worker)
 
 
 def _run_evolve(args) -> int:

@@ -1,10 +1,10 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,6 +17,7 @@ import qrtw
 from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
 from qrtw import cli, qgraph
 from qrtw.cli import _forked_map, _write_text, main, parse_config
+from qrtw.errors import UsageError
 from qrtw.qgraph import _BLOCK
 
 
@@ -253,7 +254,7 @@ def test_out_path_must_be_writable(tmp_path, capsys):
     target = tmp_path / "missing" / "deep" / "profile.csv"
     code, _, err = _run(capsys, "stationary", "--preset", "corollary3", "--out", str(target))
     assert code == 1
-    assert "cannot write" in err
+    assert err == f"qrtw: cannot write {target}: No such file or directory\n"
 
 
 def test_help_exits_cleanly():
@@ -580,8 +581,18 @@ def test_two_process_csv_equals_the_library_csv(tmp_path, capsys, forks, n):
     _assert_reaped(forks)
 
 
-@pytest.mark.parametrize("cpus, forks_tried", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "failed-fork"])
-def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried):
+# One CPU, a fork that fails, no os.sched_getaffinity (one CPU is then
+# assumed) and no os.fork each leave the serial path.
+_WITHOUT_A_WORKER = pytest.mark.parametrize(
+    "cpus, forks_tried, missing",
+    [({0}, 0, None), ({0, 1}, 1, None), ({0, 1}, 0, "sched_getaffinity"), ({0, 1}, 0, "fork")],
+    ids=["one-cpu", "failed-fork", "no-affinity", "no-fork"],
+)
+
+
+def _fork_attempts(monkeypatch, cpus, missing):
+    """Report ``cpus`` usable CPUs, make every fork fail, delete the
+    ``os`` attribute named ``missing``; return the list of forks tried."""
     calls = []
 
     def fork():
@@ -590,11 +601,21 @@ def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus, raising=False)
     monkeypatch.setattr(os, "fork", fork, raising=False)
+    if missing is not None:
+        monkeypatch.delattr(os, missing)
+    return calls
+
+
+@_WITHOUT_A_WORKER
+def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried, missing):
+    calls = _fork_attempts(monkeypatch, cpus, missing)
     out_file = tmp_path / "spec.csv"
-    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
+    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", "0.1:5:100000", "--out", str(out_file))
     assert code == 0 and err == ""
     assert len(calls) == forks_tried
-    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * _BLOCK)))
+    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 100000)))
+    # the digest pinned in test_multi_block_spectrum_bytes_are_pinned
+    assert _sha256(out_file.read_bytes()) == "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f"
 
 
 @_TWO_PROCESS
@@ -627,6 +648,38 @@ def test_worker_that_dies_fails_the_command_cleanly(tmp_path, capsys, forks, mon
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
     _assert_reaped(forks)
+
+
+@_TWO_PROCESS
+def test_worker_that_dies_leaves_only_whole_blocks_on_stdout(capsys, forks, monkeypatch):
+    n = 3 * _BLOCK
+    header_and_block_0 = "".join(islice(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)), 2))
+    parent = os.getpid()
+    render = qgraph._csv_block
+
+    def dies_in_worker(spectrum, start):
+        if os.getpid() != parent:
+            os._exit(1)
+        return render(spectrum, start)
+
+    monkeypatch.setattr(qgraph, "_csv_block", dies_in_worker)
+    code, out, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}")
+    assert code == 1
+    assert err.startswith("qrtw: ") and err.count("\n") == 1
+    assert out == header_and_block_0
+    assert len(forks) == 1
+    _assert_reaped(forks)
+
+
+def test_a_frame_cut_short_is_usage_error():
+    pipe = io.BytesIO()
+    cli._send(pipe, b"block")
+    frame = pipe.getvalue()
+    assert cli._recv(io.BytesIO(frame)) == b"block"
+    assert cli._recv(io.BytesIO(b"")) is None
+    for cut in range(1, len(frame)):
+        with pytest.raises(UsageError):
+            cli._recv(io.BytesIO(frame[:cut]))
 
 
 @_TWO_PROCESS
@@ -683,16 +736,9 @@ def test_snapshot_worker_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, 
     assert forked == serial
 
 
-@pytest.mark.parametrize("cpus, forks_tried", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "failed-fork"])
-def test_snapshots_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried):
-    calls = []
-
-    def fork():
-        calls.append(1)
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda _: cpus, raising=False)
-    monkeypatch.setattr(os, "fork", fork, raising=False)
+@_WITHOUT_A_WORKER
+def test_snapshots_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried, missing):
+    calls = _fork_attempts(monkeypatch, cpus, missing)
     code, _, err, files = _evolve_into(tmp_path, capsys, "--dump-every", "100")
     assert code == 0 and err == ""
     assert len(calls) == forks_tried
@@ -742,11 +788,7 @@ def test_failed_snapshot_write_reads_as_in_the_serial_path(tmp_path, capsys, mon
     code, out, serial_err, _ = _evolve_into(tmp_path, capsys, "--dump-every", str(every))
     assert code == 1 and out == ""
     assert serial_err.startswith(f"qrtw: cannot write {tmp_path / 'run_n100.csv'}: ")
-
-    def part_named(err):  # the temporary file's name is random
-        return re.sub(r"\.qrtw-[^/']*\.part", ".qrtw-*.part", err)
-
-    assert part_named(forked_err) == part_named(serial_err)
+    assert forked_err == serial_err
 
 
 @_TWO_PROCESS
