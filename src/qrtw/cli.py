@@ -31,7 +31,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -305,21 +304,19 @@ def _write_text(fh, text) -> None:
 
 
 def _write_atomic(path: str, text) -> None:
-    """Write the whole artifact (see :func:`_write_text`), then rename
-    into place; on any failure the partial file is removed.  The file
-    gets the mode a plain ``open`` would give, ``0o666 & ~umask``,
-    rather than the 0600 of ``mkstemp``; setting the umask is the only
-    way to read it, which is safe because the CLI runs no threads."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    """Write the whole artifact (see :func:`_write_text`) to a new
+    ``.qrtw-<random>.part`` file beside ``path``, then rename it into
+    place; on any failure the partial file is removed.  ``os.open``
+    creates it with mode 0o666, which the kernel narrows by the umask,
+    as for a plain ``open``; ``O_EXCL`` refuses a name that exists,
+    symlinks included."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".qrtw-{os.urandom(8).hex()}.part")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qrtw-", suffix=".part")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.fchmod(fd, 0o666 & ~umask)
             _write_text(fh, text)
         os.replace(tmp, path)
     except BaseException as exc:

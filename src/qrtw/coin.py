@@ -53,11 +53,14 @@ def unitarity_residual(a: complex, b: complex, c: complex, d: complex) -> float:
     Zero for an exactly unitary matrix.  The three distinct entries are
     the two column norms and the column overlap (the 2,1 entry is the
     conjugate of the 1,2 entry and carries no extra information).  NaN
-    when any of them is NaN.
+    when any of them is NaN, else ``inf`` when one overflows.
     """
-    col1 = abs(a) ** 2 + abs(c) ** 2 - 1.0
-    col2 = abs(b) ** 2 + abs(d) ** 2 - 1.0
-    cross = a.conjugate() * b + c.conjugate() * d
+    try:
+        col1 = abs(a) ** 2 + abs(c) ** 2 - 1.0
+        col2 = abs(b) ** 2 + abs(d) ** 2 - 1.0
+        cross = a.conjugate() * b + c.conjugate() * d
+    except OverflowError:
+        return math.inf
     deviations = (abs(col1), abs(col2), abs(cross))
     return math.nan if any(map(math.isnan, deviations)) else max(deviations)
 
@@ -80,8 +83,8 @@ def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
     ------
     NotUnitary
         If the :func:`unitarity_residual` is above :data:`UNITARITY_TOL`
-        or not a number (a NaN or infinite entry).  The message reports
-        it.  The tolerance admits entries that went through text
+        or not a number (a NaN or infinite entry), an entry too large to
+        square included.  The message reports it.  The tolerance admits entries that went through text
         round-trips with rounded decimals; exactly constructed coins sit
         far below it.
     """
@@ -222,8 +225,9 @@ def coin_from_json(data: Any) -> Coin:
     Raises
     ------
     ModelError
-        For unrecognized shapes or preset names, and for numbers that
-        are malformed or not finite.
+        For unrecognized shapes or preset names, for numbers that are
+        malformed or not finite, and for a plate angle whose double
+        overflows.
     NotUnitary
         When explicit entries fail validation.
     """
@@ -236,7 +240,10 @@ def coin_from_json(data: Any) -> Coin:
         raise ModelError(f"unknown coin preset {data!r}")
     if isinstance(data, dict):
         if set(data) == {"hwp"}:
-            return half_wave_plate(finite_number(data["hwp"], "hwp angle"))
+            theta = finite_number(data["hwp"], "hwp angle")
+            if not math.isfinite(2.0 * theta):
+                raise ModelError(f"hwp angle {theta!r} is too large: its double overflows")
+            return half_wave_plate(theta)
         if set(data) == {"free"}:
             phases = data["free"]
             if not isinstance(phases, (list, tuple)) or len(phases) != 2:

@@ -64,23 +64,22 @@ class EvolutionState:
     """The windowed walk at step ``n``, advanced in place by :func:`step`.
 
     ``psi_l``/``psi_r`` are the raw amplitudes (drive phase included),
-    ``injection_phase`` tracks the accumulated ``exp(i*delta*n)``, and
-    ``feed`` scales the injected boundary wave (0 disables injection
-    for transport experiments).  ``coins`` holds the site coins as rows
-    ``a, b, c, d``.  A back pair of buffers keeps the amplitudes from
-    before the last step (for :func:`norm_check` and the convergence
-    residual); each step writes into it, with one scratch buffer for
-    the second product, and swaps it to the front, so ``psi_l`` and
-    ``psi_r`` alternate between two fixed arrays.  The convergence
-    residual reuses the scratch buffer, with one real buffer
-    ``_moduli``.  The state starts at zero amplitude on a window checked
-    like :func:`init_lattice`'s.
+    and ``injection_phase`` tracks the accumulated ``exp(i*delta*n)``
+    of the plane wave injected at the left edge.  ``coins`` holds the
+    site coins as rows ``a, b, c, d``.  A back pair of buffers keeps
+    the amplitudes from before the last step (for :func:`norm_check`
+    and the convergence residual); each step writes into it, with one
+    scratch buffer for the second product, and swaps it to the front,
+    so ``psi_l`` and ``psi_r`` alternate between two fixed arrays.  The
+    convergence residual reuses the scratch buffer, with one real
+    buffer ``_moduli``.  The state starts at zero amplitude on a window checked
+    like :func:`init_lattice`'s; a caller may write ``psi_l``/``psi_r``
+    before the first step.
     """
 
     cfg: TunnelingConfig
     x_min: int
     x_max: int
-    feed: complex = 1.0 + 0j
     n: int = field(default=0, init=False)
     injection_phase: complex = field(default=1.0 + 0j, init=False)
     psi_l: np.ndarray = field(init=False, repr=False)
@@ -122,20 +121,6 @@ def init_lattice(
     return state
 
 
-def from_profile(
-    cfg: TunnelingConfig, profile: AmplitudeProfile, inject: bool = True
-) -> EvolutionState:
-    """Copy given amplitudes into a step-ready state (counter reset to 0).
-
-    With ``inject`` False the left boundary feeds zero instead of the
-    plane wave, which is what free-transport experiments need.
-    """
-    state = EvolutionState(cfg, profile.x_min, profile.x_max, (1.0 + 0j) if inject else 0j)
-    state.psi_l[:] = profile.psi_l
-    state.psi_r[:] = profile.psi_r
-    return state
-
-
 def step(state: EvolutionState) -> EvolutionState:
     """Advance one time step in place and return the same state.
 
@@ -160,7 +145,7 @@ def step(state: EvolutionState) -> EvolutionState:
         nl *= drive
         nr[1:] *= drive
     state.injection_phase *= drive
-    nr[0] = state.feed * state.injection_phase * cmath.exp(1j * cfg.q_shifted * state.x_min)
+    nr[0] = state.injection_phase * cmath.exp(1j * cfg.q_shifted * state.x_min)
     state.psi_l, state._back_l = nl, pl
     state.psi_r, state._back_r = nr, pr
     state.n += 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -62,7 +63,10 @@ class TunnelingConfig:
     ``p`` and ``q`` are the left- and right-channel phases of the free
     coin, ``barrier`` is the defect coin placed at sites 0 and ``m``
     (``m >= 1``), and ``delta`` is the per-step drive phase (default 0).
-    The three phases must be finite.
+    The three phases must be finite, and small enough that every phase
+    a window of up to :data:`MAX_WINDOW_SITES` sites past ``m`` reads,
+    bounded by ``2*(|p|+|q|+|delta|)*(m + MAX_WINDOW_SITES)``, stays
+    finite; otherwise, or when ``m`` has no float, it is a ModelError.
     """
 
     p: float
@@ -80,6 +84,15 @@ class TunnelingConfig:
         object.__setattr__(self, "m", m)
         for name in ("p", "q", "delta"):
             object.__setattr__(self, name, finite_number(getattr(self, name), name))
+        try:
+            span = float(m) + MAX_WINDOW_SITES
+        except OverflowError:
+            raise ModelError("barrier separation m is too large for the phase arithmetic") from None
+        if not math.isfinite(2.0 * (abs(self.p) + abs(self.q) + abs(self.delta)) * span):
+            raise ModelError(
+                f"phases p={self.p!r}, q={self.q!r}, delta={self.delta!r} are too large "
+                f"for the phase arithmetic at m={m}"
+            )
 
     @property
     def bc(self) -> complex:

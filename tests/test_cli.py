@@ -449,6 +449,70 @@ def test_malformed_config_value_is_model_error(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+_HUGE_M = "1" + "0" * 400  # no float holds it
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stationary", "--preset", "corollary3", "--p", "1e308"),
+        ("stationary", "--barrier", "hadamard", "--m", "2", "--delta", "1e308"),
+        ("evolve", "--barrier", "hadamard", "--m", "2", "--q", "1e307"),
+        ("verify", "--barrier", "hadamard", "--m", "2", "--p", "1e307"),
+        ("stationary", "--barrier", '{"hwp": 1e308}', "--m", "2"),
+        ("stationary", "--barrier", '{"a": [1e308, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}', "--m", "2"),
+        ("stationary", "--barrier", "hadamard", "--m", _HUGE_M),
+        ("spectrum", "--alpha", "1", "--s", "1", "--m", _HUGE_M, "--k", "0.1:5:3"),
+    ],
+    ids=["p", "delta", "q", "verify", "hwp", "entry", "m", "chain-m"],
+)
+def test_model_numbers_too_large_for_the_phase_arithmetic_exit_2(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("qrtw: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+_NAN_ENTRY = '{"a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}'
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, message",
+    [
+        (("stationary", "--preset", "corollary3", "--window", "1:x"), None, 1, "--window bounds must be integers"),
+        (("spectrum", "--preset", "fig2", "--k", "1"), None, 1, "--k expects MIN:MAX or MIN:MAX:N"),
+        (("spectrum", "--preset", "fig2", "--k", "a:5"), None, 1, "--k has a malformed component"),
+        (("stationary", "--config", "MISSING"), None, 1, "cannot read config file"),
+        (("stationary", "--config", "CONFIG"), "{bad", 1, "config file is not valid JSON"),
+        ((), None, 1, "a command is required"),
+        (("stationary", "--config", "CONFIG"), "[1, 2]", 2, "config must be a JSON object, got list"),
+        (("stationary", "--config", "CONFIG"), '{"p": 0, "q": 0, "barrier": "hadamard"}', 2, "config is missing field 'm'"),
+        (("stationary", "--barrier", _NAN_ENTRY), None, 2, "coin entries must be finite"),
+    ],
+    ids=["window-bound", "k-arity", "k-number", "config-missing", "config-json", "no-command",
+         "config-list", "config-no-m", "nan-entry"],
+)
+def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, config, code, message):
+    if config is not None:
+        (tmp_path / "model.json").write_text(config)
+    paths = {"CONFIG": str(tmp_path / "model.json"), "MISSING": str(tmp_path / "missing.json")}
+    got, out, err = _run(capsys, *(paths.get(a, a) for a in argv))
+    assert got == code
+    assert out == ""
+    assert err.startswith("qrtw: " + message) and err.count("\n") == 1
+
+
+def test_import_loads_no_thread_pool():
+    # spectrum_scan imports its pool only when a caller asks for threads
+    src = str(Path(qrtw.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, qrtw.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("command", ["evolve", "verify"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, command, tol):
@@ -698,17 +762,21 @@ def test_failed_write_closes_the_blocks_and_reaps_the_worker(forks):
 
 @_TWO_PROCESS
 def test_artifacts_get_the_umask_mode(tmp_path, capsys, forks):
-    old = os.umask(0o022)
-    try:
-        st, spec, run = (tmp_path / name for name in ("st.csv", "spec.csv", "run.csv"))
-        assert _run(capsys, "stationary", "--preset", "corollary3", "--out", str(st))[0] == 0
-        assert _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{2 * _BLOCK + 1}", "--out", str(spec))[0] == 0
-        assert len(forks) == 1
-        assert _run(capsys, "evolve", "--preset", "corollary3", "--out", str(run), "--dump-every", "100")[0] == 0
-    finally:
-        os.umask(old)
-    for path in (st, spec, tmp_path / "run_n100.csv"):
-        assert path.stat().st_mode & 0o777 == 0o644, path.name
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        directory = tmp_path / oct(umask)
+        directory.mkdir()
+        st, spec, run = (directory / name for name in ("st.csv", "spec.csv", "run.csv"))
+        old = os.umask(umask)
+        try:
+            assert _run(capsys, "stationary", "--preset", "corollary3", "--out", str(st))[0] == 0
+            assert _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{2 * _BLOCK + 1}", "--out", str(spec))[0] == 0
+            assert len(forks) == 1
+            assert _run(capsys, "evolve", "--preset", "corollary3", "--out", str(run), "--dump-every", "100")[0] == 0
+        finally:
+            os.umask(old)
+        forks.clear()
+        for path in (st, spec, directory / "run_n100.csv"):
+            assert path.stat().st_mode & 0o777 == mode, (oct(umask), path.name)
 
 
 def _evolve_into(directory, capsys, *argv):

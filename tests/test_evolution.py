@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_config
 from qrtw import (
-    AmplitudeProfile,
+    EvolutionState,
     ModelError,
     NoConvergence,
     TunnelingConfig,
@@ -19,7 +19,6 @@ from qrtw import (
     default_max_steps,
     default_window,
     free_coin,
-    from_profile,
     hadamard,
     half_wave_plate,
     init_lattice,
@@ -74,20 +73,19 @@ def test_window_must_cover_barriers():
 
 def test_free_transport_shifts_the_packet():
     # barrier equal to the free coin makes the lattice homogeneous, so a
-    # lone right mover must march one site per step picking up e^{iq}
+    # lone right mover must march one site per step picking up e^{iq};
+    # the plane wave injected at the left edge fills only the first three
+    # sites in three steps, so the packet is checked past that front
     p, q = 0.4, -1.3
     cfg = TunnelingConfig(p=p, q=q, barrier=free_coin(p, q), m=1)
     lo, hi = -8, 8
-    psi_l = np.zeros(hi - lo + 1, dtype=complex)
-    psi_r = np.zeros(hi - lo + 1, dtype=complex)
-    psi_r[-5 - lo] = 1.0
-    seed = AmplitudeProfile(lo, hi, psi_l, psi_r)
-    state = from_profile(cfg, seed, inject=False)
+    state = EvolutionState(cfg, lo, hi)
+    state.psi_r[-5 - lo] = 1.0
     for _ in range(3):
         state = step(state)
     expect = cmath.exp(1j * q * 3)
     assert abs(complex(state.psi_r[-2 - lo]) - expect) < 1e-14
-    assert np.count_nonzero(np.abs(state.psi_r) > 1e-14) == 1
+    assert np.count_nonzero(np.abs(state.psi_r[3:]) > 1e-14) == 1
     assert np.all(np.abs(state.psi_l) < 1e-14)
 
 
@@ -99,7 +97,9 @@ def test_stationary_profile_is_a_fixed_point():
         cfg = random_config(rng, with_delta=True)
         sol = solve_closed_form(cfg)
         prof = build_profile(sol, cfg, (-7, cfg.m + 7))
-        state = from_profile(cfg, prof)
+        state = EvolutionState(cfg, *prof.window)
+        state.psi_l[:] = prof.psi_l
+        state.psi_r[:] = prof.psi_r
         after = step(state).profile()
         assert profile_max_difference(prof, after) < 1e-12
 

@@ -329,6 +329,29 @@ def test_profile_csv_rejects_malformed():
         profile_from_csv(good + "0,1,0,0,0,1\n2,1,0,0,0,1\n")
 
 
+def _zero_profile(lo, hi):
+    return AmplitudeProfile(lo, hi, np.zeros(hi - lo + 1), np.zeros(hi - lo + 1))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: AmplitudeProfile(1, 0, [], []), "window is empty"),
+        (lambda: AmplitudeProfile(0, 2, [0j] * 3, [0j] * 2), "psi_r has 2 entries for a window of 3 sites"),
+        (lambda: solve_general({}, 0.0, Injection.LEFT, 0.1, 0.2), "at least one defect coin"),
+        (lambda: solve_general({0.5: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "0.5 is not an integer"),
+        (lambda: solve_general({0: "hadamard"}, 0.0, Injection.LEFT, 0.1, 0.2), "defect at 0 is not a Coin"),
+        (lambda: profile_max_difference(_zero_profile(-3, 0), _zero_profile(1, 4)), "do not overlap"),
+        (lambda: profile_from_csv("x,psiL_re,psiL_im,psiR_re,psiR_im,mu\n"), "no data rows"),
+    ],
+    ids=["empty-window", "wrong-length", "no-defects", "fractional-position", "not-a-coin",
+         "disjoint-windows", "header-only"],
+)
+def test_malformed_library_input_is_model_error(call, message):
+    with pytest.raises(ModelError, match=message):
+        call()
+
+
 def test_config_json_round_trip():
     cfg = TunnelingConfig(p=0.3, q=-0.7, barrier=hadamard(), m=4, delta=1.1)
     h = cfg.barrier
