@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import init_lattice, run_to_convergence
-from .qgraph import _BLOCK, find_resonances, spectrum_csv_blocks, spectrum_scan
+from .qgraph import find_resonances, spectrum_csv_blocks, spectrum_scan
 from .scattering import (
+    _BLOCK,
     AmplitudeProfile,
     Injection,
     build_profile,
@@ -92,11 +93,16 @@ def _parse_krange(text: str) -> tuple[float, float, int | None]:
 
 
 def _parse_barrier(text: str):
-    """A coin flag value: JSON when it parses, preset name otherwise."""
+    """A coin flag value: JSON when it parses, preset name otherwise.
+    JSON that Python cannot read (an integer past the digit limit, or
+    nesting past the recursion limit) is a UsageError that does not
+    echo the text."""
     try:
         return json.loads(text)
     except json.JSONDecodeError:
         return text
+    except (ValueError, RecursionError) as exc:
+        raise UsageError(f"--barrier cannot be read: {exc}") from None
 
 
 def _checked(kind, flag: str, rule: str, ok):
@@ -254,7 +260,7 @@ def _build_tunneling(args) -> None:
                 model = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
             raise UsageError(f"config file is not valid JSON: {exc}") from None
     else:
         model = {**_WALK_DEFAULTS, **(args.preset or {}), **_given(args, _WALK_INLINE)}
@@ -287,7 +293,8 @@ def parse_config(argv=None) -> argparse.Namespace:
 
 
 def _write_text(fh, text) -> None:
-    """Write ``text``, a ``str`` or a generator of ``str`` blocks.
+    """Write ``text``, a ``str`` or a generator of ``str`` blocks, the
+    form every profile and spectrum artifact takes.
 
     Blocks are written as they are produced, so the whole text is never
     held.  The generator is closed however the write ends, so its
@@ -446,21 +453,35 @@ def _cjson(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _profile_json(profile: AmplitudeProfile) -> str:
-    pl, pr = profile.psi_l, profile.psi_r
-    payload = {
-        "x_min": profile.x_min,
-        "x_max": profile.x_max,
-        "psi_l": [_cjson(z) for z in pl.tolist()],
-        "psi_r": [_cjson(z) for z in pr.tolist()],
-        "mu": (np.abs(pl) ** 2 + np.abs(pr) ** 2).tolist(),
-    }
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _json_blocks(head: dict, arrays: dict):
+    """Yield a JSON document: the ``head`` entries, then each named
+    array, laid out as ``json.dumps(..., indent=2, allow_nan=False)``
+    lays the whole document out.  A complex array is written as
+    ``[re, im]`` pairs.  Each array is formatted :data:`_BLOCK` entries
+    at a time by the C encoder, so neither its list of numbers nor the
+    whole text is held."""
+    yield json.dumps(head, indent=2, allow_nan=False)[:-2]
+    for name, values in arrays.items():
+        yield f',\n  "{name}": [\n    '
+        for i in range(0, len(values), _BLOCK):
+            chunk = values[i : i + _BLOCK]
+            if np.iscomplexobj(chunk):
+                # The encoder writes [[a,\n b],\n [c, ...]]; indent=2 puts each bracket on its own line.
+                pairs = np.stack((chunk.real, chunk.imag), axis=1).tolist()
+                text = json.dumps(pairs, separators=(",\n      ", ": "), allow_nan=False)
+                text = "[\n      " + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]"
+            else:
+                text = json.dumps(chunk.tolist(), separators=(",\n    ", ": "), allow_nan=False)[1:-1]
+            yield (",\n    " if i else "") + text
+        yield "\n  ]"
+    yield "\n}\n"
 
 
-def _render_profile(profile: AmplitudeProfile, fmt: str) -> str:
+def _render_profile(profile: AmplitudeProfile, fmt: str):
     if fmt == "json":
-        return _profile_json(profile)
+        pl, pr = profile.psi_l, profile.psi_r
+        mu = np.abs(pl) ** 2 + np.abs(pr) ** 2
+        return _json_blocks({"x_min": profile.x_min, "x_max": profile.x_max}, {"psi_l": pl, "psi_r": pr, "mu": mu})
     return profile_to_csv(profile)
 
 
@@ -559,27 +580,11 @@ def _run_evolve(args) -> int:
     return 0
 
 
-def _spectrum_json(args, spec):
-    """Yield the spectrum's JSON document: ``alpha``, ``s``, ``m``, then
-    the ``k`` and ``T`` arrays, laid out as ``json.dumps(..., indent=2)``
-    lays them out.  Each array is formatted :data:`_BLOCK` numbers at a
-    time, so neither its list of floats nor the whole text is held."""
-    head = {"alpha": args.alpha, "s": args.s, "m": args.m}
-    yield json.dumps(head, indent=2, allow_nan=False)[:-2]
-    for name, values in (("k", spec.k), ("T", spec.T)):
-        yield f',\n  "{name}": [\n    '
-        for i in range(0, len(values), _BLOCK):
-            block = json.dumps(values[i : i + _BLOCK].tolist(), separators=(",\n    ", ": "), allow_nan=False)
-            yield (",\n    " if i else "") + block[1:-1]
-        yield "\n  ]"
-    yield "\n}\n"
-
-
 def _run_spectrum(args) -> int:
     k_min, k_max, n = args.k
     spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
     if args.fmt == "json":
-        text = _spectrum_json(args, spec)
+        text = _json_blocks({"alpha": args.alpha, "s": args.s, "m": args.m}, {"k": spec.k, "T": spec.T})
     else:
         text = spectrum_csv_blocks(spec, _forked_map)
     if args.out is not None:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coin import Coin, finite_number, integer_number, make_coin
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
-from .scattering import AmplitudeProfile, TunnelingConfig
+from .scattering import _BLOCK, AmplitudeProfile, TunnelingConfig
 
 K_FLOOR = 1e-6
 """Smallest admissible wave number; alpha/k blows up below this."""
@@ -31,9 +31,6 @@ MAX_GRID_POINTS = 10_000_000
 
 MAX_RESONANCES = 100_000
 """Largest root count ``find_resonances`` enumerates; checked before the first bisection."""
-
-_BLOCK = 1 << 14
-"""Grid points per block, in the T(k) kernel and in the CSV and JSON formatters."""
 
 
 @dataclass(frozen=True, slots=True)

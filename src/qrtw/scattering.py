@@ -48,6 +48,10 @@ _DEGENERACY_EPS = 1e-12
 _TRIVIAL_EPS = 1e-14
 MAX_WINDOW_SITES = 10_000_000
 
+_BLOCK = 1 << 14
+"""Rows per text block of every streamed artifact (profile and spectrum,
+CSV and JSON), and grid points per block of the T(k) kernel."""
+
 
 class Injection(enum.Enum):
     """Which side the driving plane wave comes from."""
@@ -530,19 +534,23 @@ def profile_max_difference(
 _CSV_HEADER = "x,psiL_re,psiL_im,psiR_re,psiR_im,mu"
 
 
-def profile_to_csv(profile: AmplitudeProfile) -> str:
-    """Render a profile as CSV text (header ``x,psiL_re,psiL_im,psiR_re,psiR_im,mu``).
+def profile_to_csv(profile: AmplitudeProfile):
+    """Yield a profile's CSV as text blocks: the header line
+    ``x,psiL_re,psiL_im,psiR_re,psiR_im,mu``, then :data:`_BLOCK` rows
+    at a time; ``"".join(...)`` gives the whole text.
 
     Floats use shortest round-trip formatting, so parsing the text back
-    reproduces the amplitudes bit for bit.
+    reproduces the amplitudes bit for bit.  Rows are formatted straight
+    from the arrays, so a caller that writes each block as it comes
+    never holds the whole CSV.
     """
-    lines = [_CSV_HEADER]
-    for x, l, r in zip(profile.positions(), profile.psi_l.tolist(), profile.psi_r.tolist()):
-        mu = abs(l) ** 2 + abs(r) ** 2
-        lines.append(
-            f"{x},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{mu!r}"
-        )
-    return "\n".join(lines) + "\n"
+    yield _CSV_HEADER + "\n"
+    for i in range(0, len(profile.psi_l), _BLOCK):
+        psi_l, psi_r = profile.psi_l[i : i + _BLOCK].tolist(), profile.psi_r[i : i + _BLOCK].tolist()
+        rows = zip(profile.positions()[i : i + _BLOCK], psi_l, psi_r)
+        # mu per row in Python: np.abs rounds differently on some rows, and
+        # the JSON writer's mu keeps np.abs, so each format keeps its bytes.
+        yield "".join([f"{x},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{abs(l) ** 2 + abs(r) ** 2!r}\n" for x, l, r in rows])
 
 
 def profile_from_csv(text: str) -> AmplitudeProfile:

@@ -11,6 +11,7 @@ import tracemalloc
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrtw
@@ -421,6 +422,30 @@ def test_driven_stationary_bytes_are_pinned(tmp_path, capsys):
     assert _sha256(out_file.read_bytes()) == "88d0e5d7fa187c4b654ceb1cdd07904f484dc3917fb98833bbbf854bfd18cfe0"
 
 
+_THREE_BLOCKS = (
+    "stationary", "--p", "0.7", "--q", "-1.3", "--barrier", '{"hwp": 0.3}', "--m", "7", "--delta", "0.4",
+    "--window=-20000:20000",
+)
+
+
+# 40,001 sites span three blocks; fixed from the profile built whole as
+# one string, before it was streamed block by block.
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("csv", "e6b2be01796ac2e3214c08e47db07cca3bd078923905085505df27de4a76033e"),
+        ("json", "851b78f882f08646348866d226e3c08eaa08a7a7484326be144c91a3463c6066"),
+    ],
+    ids=["csv", "json"],
+)
+def test_multi_block_profile_bytes_are_pinned(tmp_path, capsys, fmt, digest):
+    out_file = tmp_path / f"st.{fmt}"
+    code, out, _ = _run(capsys, *_THREE_BLOCKS, "--format", fmt, "--out", str(out_file))
+    assert code == 0
+    assert _sha256(out.encode()) == "777035a2df456a285dff057ca57a4d00701f21289bb8b1e4c4ebc9c68eb0cb7e"
+    assert _sha256(out_file.read_bytes()) == digest
+
+
 def test_verify_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "corollary3", "--delta", "0.4")
     assert code == 0
@@ -475,6 +500,8 @@ def test_model_numbers_too_large_for_the_phase_arithmetic_exit_2(capsys, argv):
 
 
 _NAN_ENTRY = '{"a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}'
+_LONG_INT = "1" + "0" * 5000  # past Python's 4,300-digit limit for int()
+_DEEP = "[" * 30000 + "]" * 30000  # past the recursion limit
 
 
 @pytest.mark.parametrize(
@@ -489,13 +516,20 @@ _NAN_ENTRY = '{"a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}'
         (("stationary", "--config", "CONFIG"), "[1, 2]", 2, "config must be a JSON object, got list"),
         (("stationary", "--config", "CONFIG"), '{"p": 0, "q": 0, "barrier": "hadamard"}', 2, "config is missing field 'm'"),
         (("stationary", "--barrier", _NAN_ENTRY), None, 2, "coin entries must be finite"),
+        (("stationary", "--config", "CONFIG"), '{"p": 0, "q": 0, "barrier": "hadamard", "m": ' + _LONG_INT + "}",
+         1, "config file is not valid JSON"),
+        (("stationary", "--config", "CONFIG"), b"\xff\xfe{}", 1, "config file is not valid JSON"),
+        (("stationary", "--barrier", '{"hwp": ' + _LONG_INT + "}", "--m", "2"), None, 1, "--barrier cannot be read"),
+        (("stationary", "--config", "CONFIG"), _DEEP, 1, "config file is not valid JSON"),
+        (("stationary", "--barrier", _DEEP, "--m", "2"), None, 1, "--barrier cannot be read"),
     ],
     ids=["window-bound", "k-arity", "k-number", "config-missing", "config-json", "no-command",
-         "config-list", "config-no-m", "nan-entry"],
+         "config-list", "config-no-m", "nan-entry", "config-long-int", "config-not-utf8", "barrier-long-int",
+         "config-deep", "barrier-deep"],
 )
 def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, config, code, message):
     if config is not None:
-        (tmp_path / "model.json").write_text(config)
+        (tmp_path / "model.json").write_bytes(config if isinstance(config, bytes) else config.encode())
     paths = {"CONFIG": str(tmp_path / "model.json"), "MISSING": str(tmp_path / "missing.json")}
     got, out, err = _run(capsys, *(paths.get(a, a) for a in argv))
     assert got == code
@@ -587,6 +621,21 @@ def test_spectrum_json_is_written_block_by_block(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < out_file.stat().st_size
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_profile_file_is_written_block_by_block(tmp_path, fmt):
+    # a profile rendered whole (a str per row, or the document's lists of floats) peaks far above this
+    out_file = tmp_path / f"st.{fmt}"
+    amplitudes = 2 * 200_011 * np.dtype(complex).itemsize  # psi_l and psi_r
+    tracemalloc.start()
+    try:
+        code = main(["stationary", "--preset", "corollary3", "--window=-10:200000", "--format", fmt, "--out", str(out_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * amplitudes
 
 
 def test_closed_stdout_pipe_exits_1_quietly():

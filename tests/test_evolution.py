@@ -16,8 +16,6 @@ from qrtw import (
     TunnelingConfig,
     WindowTooSmall,
     build_profile,
-    default_max_steps,
-    default_window,
     free_coin,
     hadamard,
     half_wave_plate,
@@ -29,7 +27,7 @@ from qrtw import (
     solve_closed_form,
     step,
 )
-from qrtw.evolution import _compensated_residual
+from qrtw.evolution import _compensated_residual, default_max_steps, default_window
 from qrtw.scattering import MAX_WINDOW_SITES
 
 

@@ -314,7 +314,7 @@ def test_profile_csv_round_trip_is_exact():
     rng = np.random.default_rng(137)
     cfg = random_config(rng, with_delta=True)
     prof = build_profile(solve_closed_form(cfg), cfg, (-5, cfg.m + 5))
-    again = profile_from_csv(profile_to_csv(prof))
+    again = profile_from_csv("".join(profile_to_csv(prof)))
     assert again.window == prof.window
     assert profile_max_difference(prof, again) == 0.0
 

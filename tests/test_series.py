@@ -7,7 +7,6 @@ import pytest
 
 from conftest import random_config
 from qrtw import (
-    MAX_TERMS,
     DivergentSeries,
     TunnelingConfig,
     hadamard,
@@ -17,6 +16,7 @@ from qrtw import (
     t_series_limit,
     transmitted_tail_phase,
 )
+from qrtw.series import MAX_TERMS
 
 
 def test_zero_bounces_is_direct_transit():
