@@ -4,144 +4,20 @@ form, as a linear system, as a bounce series, and by direct time
 stepping.  A delta-potential chain maps onto the same walk, giving the
 transmission spectrum and its perfect-transmission wave numbers."""
 
-from .coin import (
-    BetaDecomposition,
-    Coin,
-    beta_decompose,
-    coin_from_json,
-    determinant,
-    free_coin,
-    hadamard,
-    half_wave_plate,
-    identity_coin,
-    make_coin,
-    unitarity_residual,
-)
-from .errors import (
-    DegenerateResonance,
-    DivergentSeries,
-    EdgeOutOfWindow,
-    FullReflector,
-    InvalidWaveNumber,
-    MarginViolation,
-    ModelError,
-    NoConvergence,
-    NotUnitary,
-    NumericalDegeneracy,
-    QrtwError,
-    SingularSystem,
-    TrivialBarrier,
-    UsageError,
-    WindowTooSmall,
-)
-from .evolution import (
-    ConvergenceReport,
-    EvolutionState,
-    init_lattice,
-    norm_check,
-    run_to_convergence,
-    step,
-)
-from .qgraph import (
-    EdgeWave,
-    GraphParams,
-    ResonanceSet,
-    Spectrum,
-    SpectrumSample,
-    edge_wave,
-    find_resonances,
-    spectrum_csv_blocks,
-    spectrum_scan,
-    to_tunneling_config,
-    transmission_at_k,
-    vertex_coin,
-)
-from .scattering import (
-    AmplitudeProfile,
-    Injection,
-    StationarySolution,
-    TunnelingConfig,
-    build_profile,
-    config_from_json,
-    flux_balance,
-    profile_from_csv,
-    profile_max_difference,
-    profile_to_csv,
-    resonance_residual,
-    solve_closed_form,
-    solve_general,
-    t_magnitude_via_beta,
-)
-from .series import (
-    SeriesResult,
-    t_series,
-    t_series_limit,
-    transmitted_tail_phase,
-)
+from . import coin, errors, evolution, qgraph, scattering, series
+from .coin import *
+from .errors import *
+from .evolution import *
+from .qgraph import *
+from .scattering import *
+from .series import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeProfile",
-    "BetaDecomposition",
-    "Coin",
-    "ConvergenceReport",
-    "DegenerateResonance",
-    "DivergentSeries",
-    "EdgeOutOfWindow",
-    "EdgeWave",
-    "EvolutionState",
-    "FullReflector",
-    "GraphParams",
-    "Injection",
-    "InvalidWaveNumber",
-    "MarginViolation",
-    "ModelError",
-    "NoConvergence",
-    "NotUnitary",
-    "NumericalDegeneracy",
-    "QrtwError",
-    "ResonanceSet",
-    "SeriesResult",
-    "SingularSystem",
-    "Spectrum",
-    "SpectrumSample",
-    "StationarySolution",
-    "TrivialBarrier",
-    "TunnelingConfig",
-    "UsageError",
-    "WindowTooSmall",
-    "beta_decompose",
-    "build_profile",
-    "coin_from_json",
-    "config_from_json",
-    "determinant",
-    "edge_wave",
-    "find_resonances",
-    "flux_balance",
-    "free_coin",
-    "hadamard",
-    "half_wave_plate",
-    "identity_coin",
-    "init_lattice",
-    "make_coin",
-    "norm_check",
-    "profile_from_csv",
-    "profile_max_difference",
-    "profile_to_csv",
-    "resonance_residual",
-    "run_to_convergence",
-    "solve_closed_form",
-    "solve_general",
-    "spectrum_csv_blocks",
-    "spectrum_scan",
-    "step",
-    "t_magnitude_via_beta",
-    "t_series",
-    "t_series_limit",
-    "to_tunneling_config",
-    "transmission_at_k",
-    "transmitted_tail_phase",
-    "unitarity_residual",
-    "vertex_coin",
-]
+__all__: list[str] = []
+__all__ += coin.__all__
+__all__ += errors.__all__
+__all__ += evolution.__all__
+__all__ += qgraph.__all__
+__all__ += scattering.__all__
+__all__ += series.__all__

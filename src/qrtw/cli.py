@@ -664,6 +664,15 @@ def _run_verify(args) -> int:
 _EXIT_CODES = {UsageError: 1, ModelError: 2, NumericalDegeneracy: 3, NoConvergence: 4}
 
 
+def _shorten(message: str) -> str:
+    """``message`` if it has at most 300 characters, else its first and
+    last 130 around the count of characters cut: messages echo arguments
+    of any size."""
+    if len(message) <= 300:
+        return message
+    return f"{message[:130]} [... {len(message) - 260} characters cut ...] {message[-130:]}"
+
+
 def main(argv=None) -> int:
     """Console entry point."""
     try:
@@ -672,7 +681,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code
     except tuple(_EXIT_CODES) as exc:
-        print(f"qrtw: {exc}", file=sys.stderr)
+        print(f"qrtw: {_shorten(str(exc))}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except BrokenPipeError:
         # The reader closed stdout.  Point the descriptor at devnull so

@@ -27,6 +27,20 @@ from typing import Any
 
 from .errors import ModelError, NotUnitary
 
+__all__ = [
+    "BetaDecomposition",
+    "Coin",
+    "beta_decompose",
+    "coin_from_json",
+    "determinant",
+    "free_coin",
+    "hadamard",
+    "half_wave_plate",
+    "identity_coin",
+    "make_coin",
+    "unitarity_residual",
+]
+
 UNITARITY_TOL = 1e-10
 _ENTRY_EPS = 1e-14
 

@@ -8,6 +8,24 @@ computation that cannot proceed for numerical reasons
 
 from __future__ import annotations
 
+__all__ = [
+    "DegenerateResonance",
+    "DivergentSeries",
+    "EdgeOutOfWindow",
+    "FullReflector",
+    "InvalidWaveNumber",
+    "MarginViolation",
+    "ModelError",
+    "NoConvergence",
+    "NotUnitary",
+    "NumericalDegeneracy",
+    "QrtwError",
+    "SingularSystem",
+    "TrivialBarrier",
+    "UsageError",
+    "WindowTooSmall",
+]
+
 
 class QrtwError(Exception):
     """Base class for every error raised by this package."""

@@ -27,6 +27,15 @@ import numpy as np
 from .errors import NoConvergence, WindowTooSmall
 from .scattering import AmplitudeProfile, TunnelingConfig, check_window_sites
 
+__all__ = [
+    "ConvergenceReport",
+    "EvolutionState",
+    "init_lattice",
+    "norm_check",
+    "run_to_convergence",
+    "step",
+]
+
 
 def default_window(cfg: TunnelingConfig) -> tuple[int, int]:
     """Window wide enough that boundary effects stay negligible."""

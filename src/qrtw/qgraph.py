@@ -21,6 +21,21 @@ from .coin import Coin, finite_number, integer_number, make_coin
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
 from .scattering import _BLOCK, AmplitudeProfile, TunnelingConfig
 
+__all__ = [
+    "EdgeWave",
+    "GraphParams",
+    "ResonanceSet",
+    "Spectrum",
+    "SpectrumSample",
+    "edge_wave",
+    "find_resonances",
+    "spectrum_csv_blocks",
+    "spectrum_scan",
+    "to_tunneling_config",
+    "transmission_at_k",
+    "vertex_coin",
+]
+
 K_FLOOR = 1e-6
 """Smallest admissible wave number; alpha/k blows up below this."""
 

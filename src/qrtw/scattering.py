@@ -44,6 +44,23 @@ from .errors import (
     MarginViolation,
 )
 
+__all__ = [
+    "AmplitudeProfile",
+    "Injection",
+    "StationarySolution",
+    "TunnelingConfig",
+    "build_profile",
+    "config_from_json",
+    "flux_balance",
+    "profile_from_csv",
+    "profile_max_difference",
+    "profile_to_csv",
+    "resonance_residual",
+    "solve_closed_form",
+    "solve_general",
+    "t_magnitude_via_beta",
+]
+
 _DEGENERACY_EPS = 1e-12
 _TRIVIAL_EPS = 1e-14
 MAX_WINDOW_SITES = 10_000_000

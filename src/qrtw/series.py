@@ -22,6 +22,13 @@ from dataclasses import dataclass
 from .errors import DivergentSeries
 from .scattering import TunnelingConfig
 
+__all__ = [
+    "SeriesResult",
+    "t_series",
+    "t_series_limit",
+    "transmitted_tail_phase",
+]
+
 _FULL_EPS = 1e-14
 MAX_TERMS = 10**6
 

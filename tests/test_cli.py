@@ -537,6 +537,32 @@ def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, config, co
     assert err.startswith("qrtw: " + message) and err.count("\n") == 1
 
 
+_LONG_TEXT = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("spectrum", "--alpha", "1", "--s", "1", "--m", _HUGE_M, "--k", "0.1:5:3"), 2),
+        (("spectrum", "--alpha", "1", "--s", "1", "--m", _LONG_INT, "--k", "0.1:5:3"), 1),
+        (("stationary", "--preset", "corollary3", "--window=-" + _HUGE_M + ":5"), 2),
+        (("spectrum", "--preset", "fig2", "--k", "0.1:5:" + _HUGE_M), 2),
+        (("stationary", "--barrier", _LONG_TEXT), 2),
+        (("stationary", "--preset", _LONG_TEXT), 1),
+        (("stationary", "--preset", "corollary3", "--window", _LONG_TEXT), 1),
+        (("spectrum", "--preset", "fig2", "--k", _LONG_TEXT), 1),
+    ],
+    ids=["phase-m", "argparse-int", "window-sites", "grid-points", "barrier", "preset", "window", "k"],
+)
+def test_error_line_is_bounded_whatever_the_argument(capsys, argv, code):
+    got, out, err = _run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("qrtw: ") and err.endswith("\n") and err.count("\n") == 1
+    assert len(err) - len("qrtw: \n") <= 300
+    assert " characters cut ...] " in err
+
+
 def test_import_loads_no_thread_pool():
     # spectrum_scan imports its pool only when a caller asks for threads
     src = str(Path(qrtw.__file__).resolve().parents[1])
@@ -950,3 +976,30 @@ def test_star_import_provides_every_export():
     ns = {}
     exec("from qrtw import *", ns)
     assert [name for name in qrtw.__all__ if name not in ns] == []
+
+
+_PUBLIC = [
+    "AmplitudeProfile", "BetaDecomposition", "Coin", "ConvergenceReport", "DegenerateResonance",
+    "DivergentSeries", "EdgeOutOfWindow", "EdgeWave", "EvolutionState", "FullReflector", "GraphParams",
+    "Injection", "InvalidWaveNumber", "MarginViolation", "ModelError", "NoConvergence", "NotUnitary",
+    "NumericalDegeneracy", "QrtwError", "ResonanceSet", "SeriesResult", "SingularSystem", "Spectrum",
+    "SpectrumSample", "StationarySolution", "TrivialBarrier", "TunnelingConfig", "UsageError",
+    "WindowTooSmall", "beta_decompose", "build_profile", "coin_from_json", "config_from_json",
+    "determinant", "edge_wave", "find_resonances", "flux_balance", "free_coin", "hadamard",
+    "half_wave_plate", "identity_coin", "init_lattice", "make_coin", "norm_check", "profile_from_csv",
+    "profile_max_difference", "profile_to_csv", "resonance_residual", "run_to_convergence",
+    "solve_closed_form", "solve_general", "spectrum_csv_blocks", "spectrum_scan", "step",
+    "t_magnitude_via_beta", "t_series", "t_series_limit", "to_tunneling_config", "transmission_at_k",
+    "transmitted_tail_phase", "unitarity_residual", "vertex_coin",
+]
+
+
+def test_package_surface_is_each_module_surface():
+    ns = {}
+    exec("from qrtw import *", ns)
+    assert sorted(set(ns) - {"__builtins__"}) == sorted(qrtw.__all__)
+    assert len(set(qrtw.__all__)) == len(qrtw.__all__)
+    assert sorted(qrtw.__all__) == _PUBLIC
+    for module in (qrtw.coin, qrtw.errors, qrtw.evolution, qrtw.qgraph, qrtw.scattering, qrtw.series):
+        for name in module.__all__:
+            assert getattr(module, name).__module__ == module.__name__, name

@@ -23,7 +23,7 @@ from qrtw import (
     transmission_at_k,
     vertex_coin,
 )
-from qrtw.qgraph import _BLOCK, _transmission_grid
+from qrtw.qgraph import _BLOCK, _loop_phase, _transmission_grid
 
 # located once by the brute bisection below and frozen; alpha=1, s=1, m=3
 FIRST_ROOT = 0.7248753428962931
@@ -124,6 +124,21 @@ def test_find_resonances_full_bracket():
     # spacing settles toward pi/(s m) as k grows
     last_gap = found[-1] - found[-2]
     assert abs(last_gap - math.pi / 3.0) / (math.pi / 3.0) < 0.05
+
+
+def test_find_resonances_stops_at_one_ulp():
+    # One ulp of k moves this loop phase by about 2.9e-11, more than the
+    # 1e-12 phase tolerance, so bisection ends on the bracket width.
+    alpha, s, m = 1.0, 1e3, 1000
+    found = find_resonances(alpha, s, m, 0.1, 0.10001)
+    assert len(found) == 3
+    assert list(found) == sorted(found)
+    for k in found:
+        assert 0.1 <= k <= 0.10001
+        target = (2 * round((_loop_phase(alpha, s, m, k) / math.pi - 1) / 2) + 1) * math.pi
+        below = _loop_phase(alpha, s, m, math.nextafter(k, 0.0)) - target
+        above = _loop_phase(alpha, s, m, math.nextafter(k, 1.0)) - target
+        assert below < 0.0 < above
 
 
 def test_find_resonances_alpha_zero_flag():

@@ -263,6 +263,13 @@ def test_resonance_residual_guards():
         resonance_residual(TunnelingConfig(p=0.0, q=0.0, barrier=swap, m=2))
 
 
+def test_t_magnitude_via_beta_rejects_full_reflector_on_resonance():
+    # the swap coin has |beta|**2 = 1, and at p = q = 0 its bounce loop has e^{i*theta} = 1
+    swap = make_coin(0.0, 1.0, 1.0, 0.0)
+    with pytest.raises(FullReflector):
+        t_magnitude_via_beta(TunnelingConfig(p=0.0, q=0.0, barrier=swap, m=3))
+
+
 def test_t_magnitude_via_beta_matches_closed_form():
     rng = np.random.default_rng(127)
     for _ in range(200):
