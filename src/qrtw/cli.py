@@ -286,7 +286,7 @@ def parse_config(argv=None) -> argparse.Namespace:
     args.build(args)
     out = getattr(args, "out", None)
     if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
-        raise UsageError(f"--out must name a file, not a directory: {out}")
+        raise UsageError(f"--out must name a file, not a directory: {_printable(out)}")
     if getattr(args, "dump_every", None) is not None and out is None:
         raise UsageError("--dump-every needs --out to name the snapshot files")
     return args
@@ -310,6 +310,12 @@ def _write_text(fh, text) -> None:
         text.close()
 
 
+def _printable(text: str) -> str:
+    """``text`` with each non-printable character (a newline, say) as
+    its escape, so an error line that quotes it stays one line."""
+    return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
+
+
 def _write_atomic(path: str, text) -> None:
     """Write the whole artifact (see :func:`_write_text`) to a new
     ``.qrtw-<random>.part`` file beside ``path``, then rename it into
@@ -321,7 +327,7 @@ def _write_atomic(path: str, text) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {_printable(path)}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             _write_text(fh, text)
@@ -332,7 +338,7 @@ def _write_atomic(path: str, text) -> None:
         except OSError:
             pass
         if isinstance(exc, OSError):
-            raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+            raise UsageError(f"cannot write {_printable(path)}: {exc.strerror}") from None
         raise
 
 

@@ -380,9 +380,9 @@ def edge_wave(
 def _csv_block(spectrum: Spectrum, start: int) -> str:
     """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
     the header: the one per-block renderer."""
-    k = spectrum.k[start : start + _BLOCK].tolist()
-    T = spectrum.T[start : start + _BLOCK].tolist()
-    return "".join([f"{a!r},{b!r}\n" for a, b in zip(k, T)])
+    from ._shortest import csv_rows  # loaded on first use: import qrtw stays lean
+
+    return "".join(csv_rows([spectrum.k[start : start + _BLOCK], spectrum.T[start : start + _BLOCK]]))
 
 
 def spectrum_csv_blocks(spectrum: Spectrum, map_blocks=map):

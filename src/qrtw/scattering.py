@@ -29,6 +29,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -551,23 +552,38 @@ def profile_max_difference(
 _CSV_HEADER = "x,psiL_re,psiL_im,psiR_re,psiR_im,mu"
 
 
+def _py_square(a: np.ndarray) -> np.ndarray:
+    """``v ** 2`` of each value as Python computes it, by libm's ``pow``;
+    numpy squares by ``v * v``, which differs on some values.  With
+    ``np.hypot`` for ``abs``, the CSV ``mu`` column keeps the bytes of
+    ``abs(l) ** 2 + abs(r) ** 2`` per row."""
+    return np.fromiter(map(math.pow, memoryview(a), repeat(2.0)), np.float64, len(a))
+
+
 def profile_to_csv(profile: AmplitudeProfile):
     """Yield a profile's CSV as text blocks: the header line
-    ``x,psiL_re,psiL_im,psiR_re,psiR_im,mu``, then :data:`_BLOCK` rows
-    at a time; ``"".join(...)`` gives the whole text.
+    ``x,psiL_re,psiL_im,psiR_re,psiR_im,mu``, then the rows, a few
+    hundred at a time; ``"".join(...)`` gives the whole text.
 
-    Floats use shortest round-trip formatting, so parsing the text back
+    Floats are written as ``repr`` writes them (see
+    :func:`qrtw._shortest.csv_rows`), so parsing the text back
     reproduces the amplitudes bit for bit.  Rows are formatted straight
     from the arrays, so a caller that writes each block as it comes
     never holds the whole CSV.
     """
+    from ._shortest import INT_LIMIT, csv_rows  # loaded on first use: import qrtw stays lean
+
     yield _CSV_HEADER + "\n"
     for i in range(0, len(profile.psi_l), _BLOCK):
-        psi_l, psi_r = profile.psi_l[i : i + _BLOCK].tolist(), profile.psi_r[i : i + _BLOCK].tolist()
-        rows = zip(profile.positions()[i : i + _BLOCK], psi_l, psi_r)
-        # mu per row in Python: np.abs rounds differently on some rows, and
-        # the JSON writer's mu keeps np.abs, so each format keeps its bytes.
-        yield "".join([f"{x},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{abs(l) ** 2 + abs(r) ** 2!r}\n" for x, l, r in rows])
+        psi_l, psi_r = profile.psi_l[i : i + _BLOCK], profile.psi_r[i : i + _BLOCK]
+        mu = _py_square(np.hypot(psi_l.real, psi_l.imag)) + _py_square(np.hypot(psi_r.real, psi_r.imag))
+        columns = [psi_l.real, psi_l.imag, psi_r.real, psi_r.imag, mu]
+        x = range(profile.x_min + i, profile.x_min + i + len(psi_l))
+        if -INT_LIMIT < x[0] and x[-1] < INT_LIMIT:
+            yield from csv_rows(columns, index=np.arange(x.start, x.stop))
+        else:  # positions past the kernel's integers: str writes them
+            rows = "".join(csv_rows(columns)).splitlines()
+            yield "".join([f"{pos},{row}\n" for pos, row in zip(x, rows)])
 
 
 def profile_from_csv(text: str) -> AmplitudeProfile:

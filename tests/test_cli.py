@@ -258,6 +258,13 @@ def test_out_path_must_be_writable(tmp_path, capsys):
     assert err == f"qrtw: cannot write {target}: No such file or directory\n"
 
 
+def test_unwritable_path_with_a_newline_is_one_error_line(tmp_path, capsys):
+    target = tmp_path / "a\nb" / "c.csv"
+    code, out, err = _run(capsys, "spectrum", "--preset", "fig2", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"qrtw: cannot write {tmp_path}/a\\nb/c.csv: No such file or directory\n"
+
+
 def test_help_exits_cleanly():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -272,8 +279,21 @@ def test_parse_config_round_trip():
     assert rc.tunneling.p == 0.0
 
 
-def _sha256(data) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _numpy_dispatch() -> str:
+    """numpy's version and the SIMD dispatch targets it uses on this CPU."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    used = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return f"numpy {np.__version__}, baseline {umath.__cpu_baseline__}, dispatch {used} of {umath.__cpu_dispatch__}"
+
+
+def _assert_digest(data: bytes, expected: str) -> None:
+    """Assert an artifact's sha256.  A mismatch names numpy's version and
+    dispatch level, since a numpy kernel may round differently at another."""
+    got = hashlib.sha256(data).hexdigest()
+    assert got == expected, f"sha256 {got}, pinned {expected}; {_numpy_dispatch()}"
 
 
 # Digests of the spectrum artifacts, fixed from the per-row formatter
@@ -281,14 +301,14 @@ def _sha256(data) -> str:
 def test_spectrum_stdout_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "spectrum", "--preset", "fig2")
     assert code == 0
-    assert _sha256(out.encode()) == "ca59ecb8d1a6e2f1895c201a794245faff468b8a57a9300a7e8fa4773687c374"
+    _assert_digest(out.encode(), "ca59ecb8d1a6e2f1895c201a794245faff468b8a57a9300a7e8fa4773687c374")
 
 
 def test_spectrum_json_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "spec.json"
     code, _, _ = _run(capsys, "spectrum", "--preset", "fig2", "--format", "json", "--out", str(out_file))
     assert code == 0
-    assert _sha256(out_file.read_bytes()) == "bc7ef4a83a428dd590ea563ac2a4dafbe370efa40ae64d677969d547875cfdb3"
+    _assert_digest(out_file.read_bytes(), "bc7ef4a83a428dd590ea563ac2a4dafbe370efa40ae64d677969d547875cfdb3")
 
 
 def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
@@ -300,7 +320,7 @@ def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
         "--out", str(out_file),
     )
     assert code == 0
-    assert _sha256(out_file.read_bytes()) == "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f"
+    _assert_digest(out_file.read_bytes(), "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f")
 
 
 def test_multi_block_spectrum_json_bytes_are_pinned(tmp_path, capsys):
@@ -312,15 +332,15 @@ def test_multi_block_spectrum_json_bytes_are_pinned(tmp_path, capsys):
         "--format", "json", "--out", str(out_file),
     )
     assert code == 0
-    assert _sha256(out_file.read_bytes()) == "8b442c799f7ab0e7143bd9742dfbe39bd7a9fdd68d8060f5e3d44a94c90d7e5c"
+    _assert_digest(out_file.read_bytes(), "8b442c799f7ab0e7143bd9742dfbe39bd7a9fdd68d8060f5e3d44a94c90d7e5c")
 
 
 def test_resonances_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "roots.json"
     code, out, _ = _run(capsys, "resonances", "--preset", "fig2", "--out", str(out_file))
     assert code == 0
-    assert _sha256(out.encode()) == "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767"
-    assert _sha256(out_file.read_bytes()) == "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767"
+    _assert_digest(out.encode(), "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767")
+    _assert_digest(out_file.read_bytes(), "2b8773e08d07da1766a07699191d457a5f80e722e595baeb6c207c35db7b7767")
 
 
 @pytest.mark.parametrize(
@@ -365,10 +385,10 @@ def test_evolve_snapshot_bytes_are_pinned(tmp_path, capsys):
         "evolve", "--preset", "corollary3", "--out", str(out_file), "--dump-every", "100",
     )
     assert code == 0
-    assert _sha256(out.encode()) == "a0b1e517319ee321d6efdc619f65e7ff9451cef59e95092f3fb603ed32454e48"
-    assert _sha256(out_file.read_bytes()) == "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e"
+    _assert_digest(out.encode(), "a0b1e517319ee321d6efdc619f65e7ff9451cef59e95092f3fb603ed32454e48")
+    _assert_digest(out_file.read_bytes(), "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e")
     snapshot = (tmp_path / "run_n100.csv").read_bytes()
-    assert _sha256(snapshot) == "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc"
+    _assert_digest(snapshot, "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc")
 
 
 def test_driven_evolve_bytes_are_pinned(tmp_path, capsys):
@@ -379,8 +399,8 @@ def test_driven_evolve_bytes_are_pinned(tmp_path, capsys):
         "--format", "json", "--out", str(out_file),
     )
     assert code == 0
-    assert _sha256(out.encode()) == "bb8e557bf738fc6e49a2a4098f892b581d828e45dcfccd0297d4abdc531a2c89"
-    assert _sha256(out_file.read_bytes()) == "20d52bce0f0b4fe48d2ccdacd548a41317bce10150f5cf828dd06ffcf03dbd95"
+    _assert_digest(out.encode(), "bb8e557bf738fc6e49a2a4098f892b581d828e45dcfccd0297d4abdc531a2c89")
+    _assert_digest(out_file.read_bytes(), "20d52bce0f0b4fe48d2ccdacd548a41317bce10150f5cf828dd06ffcf03dbd95")
 
 
 @pytest.mark.parametrize(
@@ -406,8 +426,8 @@ def test_stationary_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "st.csv"
     code, out, _ = _run(capsys, "stationary", "--preset", "corollary3", "--out", str(out_file))
     assert code == 0
-    assert _sha256(out.encode()) == "7f2e20540994ef219ecf32b87ec70c0242ba6ba444a27ebb3658cbfc48913fd2"
-    assert _sha256(out_file.read_bytes()) == "8122e33839916ae97b06415ee52ebfb94333e18a1f0f6a2adbc774a44ef51396"
+    _assert_digest(out.encode(), "7f2e20540994ef219ecf32b87ec70c0242ba6ba444a27ebb3658cbfc48913fd2")
+    _assert_digest(out_file.read_bytes(), "8122e33839916ae97b06415ee52ebfb94333e18a1f0f6a2adbc774a44ef51396")
 
 
 def test_driven_stationary_bytes_are_pinned(tmp_path, capsys):
@@ -418,8 +438,8 @@ def test_driven_stationary_bytes_are_pinned(tmp_path, capsys):
         "--format", "json", "--out", str(out_file),
     )
     assert code == 0
-    assert _sha256(out.encode()) == "e23b8d8cc9dd339079c2bb6c0b4861f3e877a2d5c20bafc79a5521fbf4d3d0b2"
-    assert _sha256(out_file.read_bytes()) == "88d0e5d7fa187c4b654ceb1cdd07904f484dc3917fb98833bbbf854bfd18cfe0"
+    _assert_digest(out.encode(), "e23b8d8cc9dd339079c2bb6c0b4861f3e877a2d5c20bafc79a5521fbf4d3d0b2")
+    _assert_digest(out_file.read_bytes(), "88d0e5d7fa187c4b654ceb1cdd07904f484dc3917fb98833bbbf854bfd18cfe0")
 
 
 _THREE_BLOCKS = (
@@ -442,14 +462,14 @@ def test_multi_block_profile_bytes_are_pinned(tmp_path, capsys, fmt, digest):
     out_file = tmp_path / f"st.{fmt}"
     code, out, _ = _run(capsys, *_THREE_BLOCKS, "--format", fmt, "--out", str(out_file))
     assert code == 0
-    assert _sha256(out.encode()) == "777035a2df456a285dff057ca57a4d00701f21289bb8b1e4c4ebc9c68eb0cb7e"
-    assert _sha256(out_file.read_bytes()) == digest
+    _assert_digest(out.encode(), "777035a2df456a285dff057ca57a4d00701f21289bb8b1e4c4ebc9c68eb0cb7e")
+    _assert_digest(out_file.read_bytes(), digest)
 
 
 def test_verify_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "corollary3", "--delta", "0.4")
     assert code == 0
-    assert _sha256(out.encode()) == "766bb9c40c06c372b4d9f1b69ae47c1adc2f6a04be8af92fe0244e2a591b8798"
+    _assert_digest(out.encode(), "766bb9c40c06c372b4d9f1b69ae47c1adc2f6a04be8af92fe0244e2a591b8798")
 
 
 @pytest.mark.parametrize(
@@ -754,7 +774,7 @@ def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks
     assert len(calls) == forks_tried
     assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 100000)))
     # the digest pinned in test_multi_block_spectrum_bytes_are_pinned
-    assert _sha256(out_file.read_bytes()) == "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f"
+    _assert_digest(out_file.read_bytes(), "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f")
 
 
 @_TWO_PROCESS
@@ -887,8 +907,8 @@ def test_snapshots_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_t
     assert len(calls) == forks_tried
     assert sorted(files) == ["run.csv", "run_n100.csv", "run_n200.csv"]
     # the digests pinned in test_evolve_snapshot_bytes_are_pinned
-    assert _sha256(files["run.csv"]) == "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e"
-    assert _sha256(files["run_n100.csv"]) == "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc"
+    _assert_digest(files["run.csv"], "22c2cc022b5831e399f5bb99b8571712dce5e4c8acc3edeccf44745bb5c2a72e")
+    _assert_digest(files["run_n100.csv"], "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc")
 
 
 # Snapshots of corollary3 are 3.3 KB: every 50 steps they all fit in the
