@@ -36,7 +36,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
-from .evolution import init_lattice, run_to_convergence
+from .evolution import check_work, init_lattice, run_to_convergence
 from .qgraph import find_resonances, spectrum_csv_blocks, spectrum_scan
 from .scattering import (
     _BLOCK,
@@ -565,6 +565,7 @@ class _Snapshots:
 
 
 def _run_evolve(args) -> int:
+    check_work(args.tunneling, args.window, args.max_steps, "--max-steps, --window or --m")
     state = init_lattice(args.tunneling, args.window)
     snapshots = None if args.dump_every is None else _Snapshots(args.out, args.fmt, args.dump_every)
     try:
@@ -618,6 +619,7 @@ def _run_resonances(args) -> int:
 
 def _run_verify(args) -> int:
     cfg = args.tunneling
+    check_work(cfg, None, None, "--m")  # the evolution row runs last, on the default window and budget
     sol = solve_closed_form(cfg)
 
     lin_sol, lin_prof = solve_general(

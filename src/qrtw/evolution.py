@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergence, WindowTooSmall
+from .errors import ModelError, NoConvergence, WindowTooSmall
 from .scattering import AmplitudeProfile, TunnelingConfig, check_window_sites
 
 __all__ = [
@@ -46,6 +46,29 @@ def default_window(cfg: TunnelingConfig) -> tuple[int, int]:
 def default_max_steps(cfg: TunnelingConfig) -> int:
     """Step budget scaled to the bounce decay rate."""
     return math.ceil(100.0 * (cfg.m + 1) / max(1.0 - abs(cfg.bc), 0.01))
+
+
+MAX_SITE_STEPS = 10**10
+"""The most evolution work :func:`check_work` admits: window sites times
+the step budget, about three minutes of stepping at 17 ns a site-step."""
+
+
+def check_work(
+    cfg: TunnelingConfig, window: tuple[int, int] | None, max_steps: int | None, lower: str
+) -> None:
+    """ModelError, before anything is allocated, if the window (default
+    :func:`default_window`) is refused by :func:`init_lattice` or if its
+    sites times the step budget (default :func:`default_max_steps`) pass
+    :data:`MAX_SITE_STEPS`; the message names the product and ``lower``,
+    the inputs that shrink it."""
+    lo, hi = _check_window(cfg, window if window is not None else default_window(cfg))
+    steps = max_steps if max_steps is not None else default_max_steps(cfg)
+    work = (hi - lo + 1) * steps
+    if work > MAX_SITE_STEPS:
+        raise ModelError(
+            f"evolving {hi - lo + 1} sites for up to {steps} steps is {work:.1e} site-steps, "
+            f"over the limit of {MAX_SITE_STEPS:.0e}; lower {lower}"
+        )
 
 
 def _check_window(cfg: TunnelingConfig, window: tuple[int, int]) -> tuple[int, int]:

@@ -298,12 +298,14 @@ def _assert_digest(data: bytes, expected: str) -> None:
 
 # Digests of the spectrum artifacts, fixed from the per-row formatter
 # that preceded the block-wise one; the bytes must never change.
+@pytest.mark.pinned_bytes
 def test_spectrum_stdout_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "spectrum", "--preset", "fig2")
     assert code == 0
     _assert_digest(out.encode(), "ca59ecb8d1a6e2f1895c201a794245faff468b8a57a9300a7e8fa4773687c374")
 
 
+@pytest.mark.pinned_bytes
 def test_spectrum_json_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "spec.json"
     code, _, _ = _run(capsys, "spectrum", "--preset", "fig2", "--format", "json", "--out", str(out_file))
@@ -311,6 +313,7 @@ def test_spectrum_json_bytes_are_pinned(tmp_path, capsys):
     _assert_digest(out_file.read_bytes(), "bc7ef4a83a428dd590ea563ac2a4dafbe370efa40ae64d677969d547875cfdb3")
 
 
+@pytest.mark.pinned_bytes
 def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
     # 100000 rows span more than one formatting block
     out_file = tmp_path / "spec.csv"
@@ -323,6 +326,7 @@ def test_multi_block_spectrum_bytes_are_pinned(tmp_path, capsys):
     _assert_digest(out_file.read_bytes(), "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f")
 
 
+@pytest.mark.pinned_bytes
 def test_multi_block_spectrum_json_bytes_are_pinned(tmp_path, capsys):
     # fixed from the document built whole by one json.dumps, before streaming
     out_file = tmp_path / "spec.json"
@@ -391,6 +395,7 @@ def test_evolve_snapshot_bytes_are_pinned(tmp_path, capsys):
     _assert_digest(snapshot, "d08c1e69db7f7b307fbca76aeaeaf1bb0caaba84a79e3f40be254f5d9adea4dc")
 
 
+@pytest.mark.pinned_bytes
 def test_driven_evolve_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "drive.json"
     code, out, _ = _run(
@@ -419,6 +424,24 @@ def test_oversize_window_is_model_error(capsys, no_window_arrays, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, lower",
+    [
+        (("evolve", "--barrier", "hadamard", "--m", "100000", "--tol", "1e-300"), "--max-steps, --window or --m"),
+        (("verify", "--barrier", "hadamard", "--m", "100000"), "--m"),
+    ],
+    ids=["evolve", "verify"],
+)
+def test_days_of_stepping_are_refused_before_they_start(capsys, no_window_arrays, argv, lower):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "qrtw: evolving 2100041 sites for up to 20000201 steps is 4.2e+13 site-steps, "
+        f"over the limit of 1e+10; lower {lower}\n"
+    )
+
+
 # Digests of the walk-command outputs, fixed while presets and inline
 # flags were still turned into a model by hand; routing them through
 # config_from_json must not change a byte.
@@ -430,6 +453,7 @@ def test_stationary_bytes_are_pinned(tmp_path, capsys):
     _assert_digest(out_file.read_bytes(), "8122e33839916ae97b06415ee52ebfb94333e18a1f0f6a2adbc774a44ef51396")
 
 
+@pytest.mark.pinned_bytes
 def test_driven_stationary_bytes_are_pinned(tmp_path, capsys):
     out_file = tmp_path / "st.json"
     code, out, _ = _run(
@@ -454,7 +478,7 @@ _THREE_BLOCKS = (
     "fmt, digest",
     [
         ("csv", "e6b2be01796ac2e3214c08e47db07cca3bd078923905085505df27de4a76033e"),
-        ("json", "851b78f882f08646348866d226e3c08eaa08a7a7484326be144c91a3463c6066"),
+        pytest.param("json", "851b78f882f08646348866d226e3c08eaa08a7a7484326be144c91a3463c6066", marks=pytest.mark.pinned_bytes),
     ],
     ids=["csv", "json"],
 )
@@ -466,6 +490,7 @@ def test_multi_block_profile_bytes_are_pinned(tmp_path, capsys, fmt, digest):
     _assert_digest(out_file.read_bytes(), digest)
 
 
+@pytest.mark.pinned_bytes
 def test_verify_bytes_are_pinned(capsys):
     code, out, _ = _run(capsys, "verify", "--preset", "corollary3", "--delta", "0.4")
     assert code == 0
@@ -765,6 +790,7 @@ def _fork_attempts(monkeypatch, cpus, missing):
     return calls
 
 
+@pytest.mark.pinned_bytes
 @_WITHOUT_A_WORKER
 def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried, missing):
     calls = _fork_attempts(monkeypatch, cpus, missing)

@@ -27,7 +27,7 @@ from qrtw import (
     solve_closed_form,
     step,
 )
-from qrtw.evolution import _compensated_residual, default_max_steps, default_window
+from qrtw.evolution import MAX_SITE_STEPS, _compensated_residual, check_work, default_max_steps, default_window
 from qrtw.scattering import MAX_WINDOW_SITES
 
 
@@ -207,6 +207,15 @@ def test_oversize_window_is_refused_before_allocation(no_window_arrays):
     cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=3)
     with pytest.raises(ModelError, match="limit of 10000000"):
         init_lattice(cfg, (-MAX_WINDOW_SITES, 5))
+
+
+def test_work_limit_admits_the_snapshot_run_and_refuses_past_it(no_window_arrays):
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=half_wave_plate(math.pi / 8), m=200)
+    check_work(cfg, None, None, "--m")  # the evolve-snapshots run: 4,241 sites for up to 40,200 steps
+    sites = (-2, 9997)  # 10^4 sites
+    check_work(cfg, sites, MAX_SITE_STEPS // 10**4, "--max-steps")
+    with pytest.raises(ModelError, match=r"is 1\.0e\+10 site-steps, over the limit of 1e\+10; lower --max-steps"):
+        check_work(cfg, sites, MAX_SITE_STEPS // 10**4 + 1, "--max-steps")
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.37])

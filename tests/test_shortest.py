@@ -1,14 +1,19 @@
 """The CSV float kernel against ``float.__repr__``, value by value."""
 
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import qrtw
-from qrtw._shortest import INT_LIMIT, csv_rows
+from qrtw import TunnelingConfig, build_profile, half_wave_plate, profile_to_csv, solve_closed_form
+from qrtw._shortest import _CHUNK, INT_LIMIT, csv_rows
+from qrtw.evolution import default_window
 
 
 def _texts(values) -> list[str]:
@@ -90,6 +95,68 @@ def test_index_column_matches_str():
     )
     text = "".join(csv_rows([np.full(len(values), 0.5)], index=values))
     assert text == "".join(f"{v},0.5\n" for v in values.tolist())
+
+
+def _varied(rng, n):
+    """``n`` floats over many scales, a tenth of them short integral values."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-30, 30, n)
+    values[rng.integers(0, n, n // 10)] = rng.integers(-1000, 1000, n // 10)
+    return values
+
+
+_SPECIAL = [np.nan, -0.0, np.inf, -np.inf, -np.nan, 0.0]
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_one_column_around_a_pass_matches_repr(delta):
+    values = _varied(np.random.default_rng(23), _CHUNK + delta)
+    edge = [j for j in (_CHUNK - 2, _CHUNK - 1, _CHUNK) if j < len(values)]  # the first pass's end, the next's start
+    values[edge] = _SPECIAL[: len(edge)]
+    assert not _mismatches(values)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1, _CHUNK // 2 + 1])
+def test_two_columns_around_a_pass_match_repr(delta):
+    rows = _CHUNK // 2 + delta  # a pass holds _CHUNK // 2 rows
+    rng = np.random.default_rng(24)
+    k, t = _varied(rng, rows), _varied(rng, rows)
+    for j in (_CHUNK // 2 - 1, _CHUNK // 2):  # the rows either side of the first pass's end
+        if j < rows:
+            k[j], t[j] = rng.choice(_SPECIAL, 2)
+    assert "".join(csv_rows([k, t])) == "".join(f"{a!r},{b!r}\n" for a, b in zip(k.tolist(), t.tolist()))
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1, _CHUNK // 6 + 1])
+def test_index_and_five_columns_around_a_pass_match_str_and_repr(delta):
+    rows = _CHUNK // 6 + delta  # a pass holds whole rows: the row that would straddle value _CHUNK starts the next
+    rng = np.random.default_rng(25)
+    columns = [_varied(rng, rows) for _ in range(5)]
+    index = rng.integers(-(INT_LIMIT - 1), INT_LIMIT, rows)
+    index[: rows // 2] //= 10 ** rng.integers(0, 17, rows // 2)
+    for j in (_CHUNK // 6 - 1, _CHUNK // 6):
+        if j < rows:
+            for c, v in zip(columns, rng.permutation(_SPECIAL)):
+                c[j] = v
+    text = "".join(csv_rows(columns, index=index))
+    reference = [f"{i}," + ",".join(repr(v) for v in row) + "\n" for i, *row in zip(index.tolist(), *(c.tolist() for c in columns))]
+    assert text == "".join(reference)
+
+
+def test_a_snapshot_profile_renders_in_under_a_megabyte():
+    # the evolve-snapshots profile: m = 200, 4,241 sites, p and q != 0; blocks are taken one at a
+    # time, as a writer takes them, and the kernel's tables (built once a process) are built first
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=half_wave_plate(math.pi / 8), m=200)
+    profile = build_profile(solve_closed_form(cfg), cfg, default_window(cfg))
+    assert len(profile.psi_l) == 4241
+    "".join(csv_rows([np.ones(2)]))
+    tracemalloc.start()
+    try:
+        for _block in profile_to_csv(profile):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_import_leaves_the_kernel_unloaded():
