@@ -316,6 +316,26 @@ def _printable(text: str) -> str:
     return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
 
 
+def _create_part(path: str) -> tuple[int, str]:
+    """Create a new ``.qrtw-<random>.part`` file beside ``path`` and
+    return its descriptor and name, or raise the UsageError of a failed
+    write."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".qrtw-{os.urandom(8).hex()}.part")
+    try:
+        return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+    except OSError as exc:
+        raise UsageError(f"cannot write {_printable(path)}: {exc.strerror}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Raise now, not after a long run, the UsageError that
+    :func:`_write_atomic` would raise for a missing or unwritable
+    directory."""
+    fd, tmp = _create_part(path)
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def _write_atomic(path: str, text) -> None:
     """Write the whole artifact (see :func:`_write_text`) to a new
     ``.qrtw-<random>.part`` file beside ``path``, then rename it into
@@ -323,11 +343,7 @@ def _write_atomic(path: str, text) -> None:
     creates it with mode 0o666, which the kernel narrows by the umask,
     as for a plain ``open``; ``O_EXCL`` refuses a name that exists,
     symlinks included."""
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".qrtw-{os.urandom(8).hex()}.part")
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        raise UsageError(f"cannot write {_printable(path)}: {exc.strerror}") from None
+    fd, tmp = _create_part(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             _write_text(fh, text)
@@ -564,8 +580,28 @@ class _Snapshots:
             _join(worker)
 
 
+_MAX_DUMP_ROWS = 10**8
+"""The most rows ``evolve --dump-every`` may write: window sites times
+the snapshots the step budget holds, about 10 GB of CSV."""
+
+
+def _check_dump_rows(sites: int, steps: int, every: int) -> None:
+    """ModelError if ``sites`` times the snapshots of ``steps`` steps,
+    one every ``every``, pass :data:`_MAX_DUMP_ROWS`."""
+    rows = sites * (steps // every)
+    if rows > _MAX_DUMP_ROWS:
+        raise ModelError(
+            f"a snapshot of {sites} sites every {every} of up to {steps} steps is {rows:.1e} rows, "
+            f"over the limit of {_MAX_DUMP_ROWS:.0e}; raise --dump-every or lower --max-steps, --window or --m"
+        )
+
+
 def _run_evolve(args) -> int:
-    check_work(args.tunneling, args.window, args.max_steps, "--max-steps, --window or --m")
+    sites, steps = check_work(args.tunneling, args.window, args.max_steps, "--max-steps, --window or --m")
+    if args.dump_every is not None:
+        _check_dump_rows(sites, steps, args.dump_every)
+    if args.out is not None:
+        _check_writable(args.out)
     state = init_lattice(args.tunneling, args.window)
     snapshots = None if args.dump_every is None else _Snapshots(args.out, args.fmt, args.dump_every)
     try:

@@ -442,6 +442,45 @@ def test_days_of_stepping_are_refused_before_they_start(capsys, no_window_arrays
     )
 
 
+def test_snapshot_rows_are_refused_before_the_first_step(tmp_path, capsys, no_window_arrays):
+    # 4,241 sites and the default budget of 40,201 steps: a snapshot every step is 1.7e8 rows
+    argv = ("evolve", "--p", "0.7", "--q", "-1.3", "--barrier", "hadamard", "--m", "200", "--out", str(tmp_path / "x.csv"))
+    code, out, err = _run(capsys, *argv, "--dump-every", "1")
+    assert code == 2 and out == ""
+    assert err == (
+        "qrtw: a snapshot of 4241 sites every 1 of up to 40201 steps is 1.7e+08 rows, over the limit of 1e+08; "
+        "raise --dump-every or lower --max-steps, --window or --m\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_snapshot_row_limit_admits_the_snapshot_run_and_refuses_past_it():
+    cli._check_dump_rows(4241, 40200, 200)  # the evolve-snapshots run: 201 snapshots at most
+    cli._check_dump_rows(10**4, 10**4 * 200, 200)
+    with pytest.raises(qrtw.ModelError, match=r"is 1\.0e\+08 rows, over the limit of 1e\+08"):
+        cli._check_dump_rows(10**4, (10**4 + 1) * 200, 200)
+
+
+def test_unwritable_out_is_refused_before_the_first_step(tmp_path, capsys, no_window_arrays):
+    target = tmp_path / "missing" / "run.csv"
+    code, out, err = _run(capsys, "evolve", "--preset", "corollary3", "--out", str(target), "--dump-every", "10")
+    assert code == 1 and out == ""
+    assert err == f"qrtw: cannot write {target}: No such file or directory\n"
+
+
+def test_budget_line_prints_the_last_step_residual(capsys):
+    argv = ("evolve", "--p", "0.7", "--q", "-1.3", "--barrier", "hadamard", "--m", "40", "--max-steps", "1000")
+    code, out, err = _run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == "qrtw: no convergence after 1000 steps: residual 3.906e-03 above tol 1.000e-08\n"
+
+
+def test_writable_out_leaves_no_probe_file(tmp_path, capsys):
+    code, _, err = _run(capsys, "evolve", "--preset", "corollary3", "--out", str(tmp_path / "run.csv"))
+    assert code == 0 and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["run.csv"]
+
+
 # Digests of the walk-command outputs, fixed while presets and inline
 # flags were still turned into a model by hand; routing them through
 # config_from_json must not change a byte.

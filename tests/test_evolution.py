@@ -2,14 +2,17 @@
 stationary solvers."""
 
 import cmath
+import hashlib
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import random_config
 from qrtw import (
+    ConvergenceReport,
     EvolutionState,
     ModelError,
     NoConvergence,
@@ -27,6 +30,7 @@ from qrtw import (
     solve_closed_form,
     step,
 )
+from qrtw import evolution
 from qrtw.evolution import MAX_SITE_STEPS, _compensated_residual, check_work, default_max_steps, default_window
 from qrtw.scattering import MAX_WINDOW_SITES
 
@@ -211,7 +215,8 @@ def test_oversize_window_is_refused_before_allocation(no_window_arrays):
 
 def test_work_limit_admits_the_snapshot_run_and_refuses_past_it(no_window_arrays):
     cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=half_wave_plate(math.pi / 8), m=200)
-    check_work(cfg, None, None, "--m")  # the evolve-snapshots run: 4,241 sites for up to 40,200 steps
+    # the evolve-snapshots run: 4,241 sites for up to 40,200 steps
+    assert check_work(cfg, None, None, "--m") == (4241, 40200)
     sites = (-2, 9997)  # 10^4 sites
     check_work(cfg, sites, MAX_SITE_STEPS // 10**4, "--max-steps")
     with pytest.raises(ModelError, match=r"is 1\.0e\+10 site-steps, over the limit of 1e\+10; lower --max-steps"):
@@ -232,3 +237,127 @@ def test_residual_equals_the_allocating_formula(delta):
     for _ in range(1500):
         step(state)
         assert _compensated_residual(state) == reference(state)
+
+
+def _allocating_residual(state):
+    """The residual as written before it moved into the state's buffers."""
+    undo = cmath.exp(-1j * state.cfg.delta)
+    dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
+    dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
+    return float(max(dl, dr))
+
+
+def _reference_run(state, tol, max_steps, on_step=None):
+    """run_to_convergence with a full residual every step and the rate
+    read from a deque of the last three round trips of residuals."""
+    round_trip = 2 * state.cfg.m
+    span = 3 * round_trip
+    history = deque(maxlen=span + 1)
+    residual = math.inf
+    for _ in range(max_steps):
+        residual = _allocating_residual(step(state))
+        history.append(residual)
+        if on_step is not None:
+            on_step(state)
+        if residual < tol:
+            break
+    else:
+        raise NoConvergence(
+            f"no convergence after {max_steps} steps: residual {residual:.3e} above tol {tol:.3e}"
+        )
+    rate = None
+    if len(history) > span and history[0] > 0 and history[-1] > 0:
+        rate = (history[-1] / history[0]) ** (round_trip / span)
+    return state.profile(), ConvergenceReport(state.n, residual, rate, round_trip)
+
+
+def _outcome(run, cfg, window, tol, max_steps):
+    """Everything a run leaves, as bytes and exact floats: the report or
+    the NoConvergence text, the profile, every buffer of the final state,
+    and a digest of what ``on_step`` saw at each step."""
+    state = init_lattice(cfg, window)
+    seen = hashlib.sha256()
+
+    def on_step(s):
+        seen.update(b"".join((s.n.to_bytes(8, "little"), repr(s.injection_phase).encode(), s.psi_l, s.psi_r)))
+
+    try:
+        profile, report = run(state, tol, max_steps, on_step)
+    except NoConvergence as exc:
+        result = str(exc)
+    else:
+        rate = report.rate_per_round_trip
+        result = (
+            report.steps,
+            report.residual.hex(),
+            None if rate is None else rate.hex(),
+            report.round_trip_steps,
+            profile.psi_l.tobytes(),
+            profile.psi_r.tobytes(),
+        )
+    buffers = (state.psi_l, state.psi_r, state._back_l, state._back_r)
+    return result, state.n, state.injection_phase, [b.tobytes() for b in buffers], norm_check(state), seen.hexdigest()
+
+
+def _witness_cases():
+    rng = np.random.default_rng(509)
+    drawn = [
+        pytest.param(random_config(rng, with_delta=driven), None, 1e-8, None, id=f"seeded-{i}-delta-{driven}")
+        for i in range(3)
+        for driven in (False, True)
+    ]
+    return drawn + [
+        pytest.param(
+            TunnelingConfig(p=0.0, q=0.0, barrier=half_wave_plate(math.pi / 8), m=3), None, 1e-8, None,
+            id="corollary3",
+        ),
+        pytest.param(
+            TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=40, delta=0.4), None, 1e-8, None,
+            id="driven-p-q",
+        ),
+        # no scattering: the front leaves a short window within 6m steps, so no rate
+        pytest.param(
+            TunnelingConfig(p=0.4, q=-1.3, barrier=free_coin(0.4, -1.3), m=20), (-4, 26), 1e-8, None,
+            id="no-rate",
+        ),
+        # the budget runs out: at its last step the witness still shows a change
+        pytest.param(
+            TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=40), None, 1e-8, 1000,
+            id="budget",
+        ),
+        pytest.param(
+            TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=4, delta=-2.1), (-20, 30), 1e-300, 300,
+            id="budget-driven",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("cfg, window, tol, max_steps", _witness_cases())
+def test_witnessed_run_equals_a_full_residual_every_step(cfg, window, tol, max_steps):
+    budget = max_steps if max_steps is not None else default_max_steps(cfg)
+    reference = _outcome(_reference_run, cfg, window, tol, budget)
+    ours = _outcome(run_to_convergence, cfg, window, tol, max_steps)
+    assert ours == reference
+    result = ours[0]
+    if max_steps is not None:
+        assert result.startswith(f"no convergence after {max_steps} steps")
+    elif window is not None:
+        assert result[0] <= 6 * cfg.m and result[2] is None
+    else:
+        assert result[0] > 6 * cfg.m and result[2] is not None
+
+
+def test_snapshot_run_takes_few_full_passes(monkeypatch):
+    # the evolve-snapshots size: 4,241 sites, 12,420 steps
+    passes = []
+    full_pass = evolution._full_pass
+
+    def counted(state):
+        passes.append(state.n)
+        return full_pass(state)
+
+    monkeypatch.setattr(evolution, "_full_pass", counted)
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=half_wave_plate(math.pi / 8), m=200)
+    _, report = run_to_convergence(init_lattice(cfg))
+    assert report.steps == 12_420
+    assert len(passes) <= report.steps // 100
