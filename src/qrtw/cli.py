@@ -286,7 +286,7 @@ def parse_config(argv=None) -> argparse.Namespace:
     args.build(args)
     out = getattr(args, "out", None)
     if out is not None and (not os.path.basename(out) or os.path.isdir(out)):
-        raise UsageError(f"--out must name a file, not a directory: {_printable(out)}")
+        raise UsageError(f"--out must name a file, not a directory: {out}")
     if getattr(args, "dump_every", None) is not None and out is None:
         raise UsageError("--dump-every needs --out to name the snapshot files")
     return args
@@ -312,7 +312,10 @@ def _write_text(fh, text) -> None:
 
 def _printable(text: str) -> str:
     """``text`` with each non-printable character (a newline, say) as
-    its escape, so an error line that quotes it stays one line."""
+    its escape, so an error line that quotes an argument stays one line.
+    :func:`main` applies it to every error line; a failed write applies
+    it to the path as well, because a worker sends that text back as
+    UTF-8, which a path's undecodable bytes are not."""
     return "".join(c if c.isprintable() else c.encode("unicode_escape").decode() for c in text)
 
 
@@ -725,7 +728,7 @@ def main(argv=None) -> int:
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code
     except tuple(_EXIT_CODES) as exc:
-        print(f"qrtw: {_shorten(str(exc))}", file=sys.stderr)
+        print(f"qrtw: {_shorten(_printable(str(exc)))}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except BrokenPipeError:
         # The reader closed stdout.  Point the descriptor at devnull so

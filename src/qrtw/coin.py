@@ -13,9 +13,9 @@ channel, and ``d`` keeps a right mover in the right channel.
 Arbitrary matrices go through :func:`make_coin`, which rejects anything
 that is not unitary within a small residual.  The named builders
 (:func:`free_coin`, :func:`half_wave_plate`, :func:`hadamard`) are exact
-by construction.  :func:`beta_decompose` splits a coin into two channel
-phases and a real mixing pair, which is how the transmitted magnitude
-is expressed independently of the full solve.
+by construction.  :func:`beta_decompose` reduces a coin to its real
+mixing pair ``alpha``, ``|beta|``, which is how the transmitted
+magnitude is expressed independently of the full solve.
 """
 
 from __future__ import annotations
@@ -151,60 +151,31 @@ def determinant(u: Coin) -> complex:
 
 @dataclass(frozen=True, slots=True)
 class BetaDecomposition:
-    """Phase-split form of a coin.
+    """The real mixing pair of a coin.
 
     A unitary coin factors entrywise as ``a = u*alpha``,
     ``b = u*conj(beta)``, ``c = v*beta``, ``d = -v*alpha`` with
-    ``alpha`` real and nonnegative and ``|u| = |v| = 1``.  Only
-    ``beta_sq`` feeds the downstream magnitude formulas; the individual
-    phases are a documented convention (see :func:`beta_decompose`).
+    ``alpha`` real and nonnegative and ``|u| = |v| = 1``.  Only the
+    moduli are kept: ``alpha`` and the mixing weight ``beta_sq =
+    |beta|**2``, a real number in [0, 1].
     """
 
     alpha: float
-    beta: complex
-    u: complex
-    v: complex
-
-    @property
-    def beta_sq(self) -> float:
-        """The mixing weight ``|beta|**2``, a real number in [0, 1]."""
-        return abs(self.beta) ** 2
+    beta_sq: float
 
 
 def beta_decompose(u: Coin) -> BetaDecomposition:
-    """Split a coin into channel phases and a real mixing pair.
+    """The real mixing pair of ``u``: ``alpha >= 0`` and ``beta_sq``,
+    with ``alpha**2 + beta_sq == 1`` up to roundoff.
 
-    Returns
-    -------
-    BetaDecomposition
-        With ``alpha >= 0``, ``alpha**2 + |beta|**2 == 1`` up to
-        roundoff, and the factorization of :class:`BetaDecomposition`
-        holding entrywise.
-
-    Notes
-    -----
-    Phase conventions for degenerate entries: with ``d != 0`` the split
-    uses ``alpha = |d|``, ``u = a/|d|``, ``v = -d/|d|`` and
-    ``beta = conj(b)*u`` (so ``b = 0`` gives ``beta = 0`` with
-    ``u = a/|a|``).  When the diagonal vanishes (``|d|`` below 1e-14,
-    a pure swap) it uses ``alpha = 0`` and ``beta = |b|`` real positive,
-    pushing the phases of ``b`` and ``c`` into ``u`` and ``v``.  Every
-    identity downstream depends only on ``beta_sq``, never on the
-    individual phases.
+    With ``d != 0`` the split takes ``alpha = |d|`` and
+    ``beta = conj(b)*a/|d|``; when the diagonal vanishes (``|d|`` below
+    1e-14, a pure swap) it takes ``alpha = 0`` and ``|beta| = |b|``.
     """
     mod_d = abs(u.d)
     if mod_d < _ENTRY_EPS:
-        mod_b = abs(u.b)
-        return BetaDecomposition(
-            alpha=0.0, beta=complex(mod_b), u=u.b / mod_b, v=u.c / mod_b
-        )
-    phase_u = u.a / mod_d
-    return BetaDecomposition(
-        alpha=mod_d,
-        beta=u.b.conjugate() * phase_u,
-        u=phase_u,
-        v=-u.d / mod_d,
-    )
+        return BetaDecomposition(alpha=0.0, beta_sq=abs(u.b) ** 2)
+    return BetaDecomposition(alpha=mod_d, beta_sq=abs(u.b.conjugate() * (u.a / mod_d)) ** 2)
 
 
 def finite_number(value: Any, what: str) -> float:

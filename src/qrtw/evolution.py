@@ -111,9 +111,9 @@ class EvolutionState:
     convergence residual reuses the scratch buffer, with one real
     buffer ``_moduli``.  The state starts at zero amplitude on a window checked
     like :func:`init_lattice`'s; a caller may write ``psi_l``/``psi_r``
-    before the first step.  The drive factor, the left edge's plane-wave
-    phase and the slices :func:`step` reads and writes are made once, in
-    ``_drive``, ``_edge`` and ``_views``.
+    before the first step.  The drive factor and its inverse, the left
+    edge's plane-wave phase and the slices :func:`step` reads and writes
+    are made once, in ``_drive``, ``_undo``, ``_edge`` and ``_views``.
     """
 
     cfg: TunnelingConfig
@@ -129,6 +129,7 @@ class EvolutionState:
     _scratch: np.ndarray = field(init=False, repr=False)
     _moduli: np.ndarray = field(init=False, repr=False)
     _drive: complex = field(init=False, repr=False)
+    _undo: complex = field(init=False, repr=False)
     _edge: complex = field(init=False, repr=False)
     _views: tuple = field(init=False, repr=False)
 
@@ -141,6 +142,7 @@ class EvolutionState:
         )
         self._moduli = np.zeros(sites)
         self._drive = cmath.exp(1j * self.cfg.delta)
+        self._undo = cmath.exp(-1j * self.cfg.delta)
         self._edge = cmath.exp(1j * self.cfg.q_shifted * self.x_min)
         self._views = _step_views(self)
 
@@ -216,31 +218,23 @@ def step(state: EvolutionState) -> EvolutionState:
     return state
 
 
-def _compensated_residual(state: EvolutionState) -> float:
-    """Sup-norm change of the last step with the drive phase divided
-    out, measured on the window interior (2-site margins excluded)."""
-    return _full_pass(state)[0]
-
-
 def _full_pass(state: EvolutionState) -> tuple[float, int, int]:
-    """:func:`_compensated_residual`, and the site of the largest change
-    in ``psi_l`` and in ``psi_r``: the witnesses :func:`_witnessed` reads.
+    """The convergence residual: the sup-norm change of the last step
+    with the drive phase divided out, measured on the window interior
+    (2-site margins excluded).  Also the site of the largest change in
+    ``psi_l`` and in ``psi_r``: the witnesses :func:`_witnessed` reads.
 
     The differences go into the scratch buffer and their moduli into
-    ``_moduli``, so nothing is allocated.  ``undo`` multiplies the new
+    ``_moduli``, so nothing is allocated.  ``_undo`` multiplies the new
     amplitudes as its left operand, because numpy's complex multiply is
-    not bitwise commutative; at zero drive ``undo`` is 1 and the
-    multiply is skipped, which changes the sign of a zero at most.
+    not bitwise commutative; at zero drive it is 1 and changes the sign
+    of a zero at most, which no modulus sees.
     """
     diff, moduli = state._scratch[2:-2], state._moduli[2:-2]
-    undo = cmath.exp(-1j * state.cfg.delta)
     sups = []
     for now, before in ((state.psi_l, state._back_l), (state.psi_r, state._back_r)):
-        if state.cfg.delta != 0.0:
-            np.multiply(undo, now[2:-2], out=diff)
-            diff -= before[2:-2]
-        else:
-            np.subtract(now[2:-2], before[2:-2], out=diff)
+        np.multiply(state._undo, now[2:-2], out=diff)
+        diff -= before[2:-2]
         site = int(np.abs(diff, out=moduli).argmax())
         sups.append((moduli.item(site), site + 2))
     (sup_l, site_l), (sup_r, site_r) = sups
@@ -257,19 +251,18 @@ _TINY = 64 * math.ulp(0.0)
 
 def _witnessed(state: EvolutionState, site_l: int, site_r: int, tol: float) -> bool:
     """Whether the last step's change at ``site_l`` of ``psi_l`` or at
-    ``site_r`` of ``psi_r`` alone proves :func:`_compensated_residual`
+    ``site_r`` of ``psi_r`` alone proves the residual of :func:`_full_pass`
     at least ``tol``.  Each change is taken with Python scalars, so it
     must pass ``tol`` by :data:`_SLACK` of itself, with a drive also of
-    ``|psi|`` (the ``undo`` product's rounding), and by :data:`_TINY`.
+    ``|psi|`` (the ``_undo`` product's rounding), and by :data:`_TINY`.
     Sites off the interior prove nothing."""
     last = len(state.psi_l) - 3
     drive = state.cfg.delta != 0.0
-    undo = cmath.exp(-1j * state.cfg.delta)
     for now, before, site in ((state.psi_l, state._back_l, site_l), (state.psi_r, state._back_r, site_r)):
         if 2 <= site <= last:
             z = now.item(site)
             if drive:
-                change = abs(undo * z - before.item(site))
+                change = abs(state._undo * z - before.item(site))
                 slack = _SLACK * (change + abs(z))
             else:
                 change = abs(z - before.item(site))
@@ -308,7 +301,7 @@ def run_to_convergence(
     state.
 
     The test is exact: the run stops at the first step whose
-    :func:`_compensated_residual` is below ``tol``, and reports that
+    :func:`_full_pass` residual is below ``tol``, and reports that
     residual.  Yet most steps skip that full-window pass.  Away from the
     two defects a change moves one site a step, left in ``psi_l`` and
     right in ``psi_r`` (the free coin is diagonal and unimodular), so
@@ -322,14 +315,18 @@ def run_to_convergence(
 
     Raises
     ------
+    ValueError
+        Unless ``0 < tol < inf`` and ``max_steps >= 1``.
     NoConvergence
         When ``max_steps`` (default :func:`default_max_steps`) is
         exhausted first, with the final residual in the message.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_steps is None:
         max_steps = default_max_steps(state.cfg)
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     round_trip = 2 * state.cfg.m
     span = 3 * round_trip
     checkpoints = [] if max_steps > span else None  # a shorter run fits no rate
@@ -381,7 +378,7 @@ def _checkpoint(checkpoints: list, state: EvolutionState) -> None:
 
 
 def _replayed_residual(state: EvolutionState, checkpoints: list, n: int) -> float:
-    """:func:`_compensated_residual` of step ``n``, stepped again from
+    """The :func:`_full_pass` residual of step ``n``, stepped again from
     the older checkpoint with the two checkpoints' arrays as the buffer
     pairs; ``state`` is left as it is.  With checkpoints taken every
     ``span`` steps and ``n`` at ``span`` before a last step past them
@@ -393,7 +390,7 @@ def _replayed_residual(state: EvolutionState, checkpoints: list, n: int) -> floa
     replay._back_l, replay._back_r = spare[:2]
     while replay.n < n:
         step(replay)
-    return _compensated_residual(replay)
+    return _full_pass(replay)[0]
 
 
 def norm_check(state: EvolutionState) -> float:

@@ -26,7 +26,6 @@ __all__ = [
     "GraphParams",
     "ResonanceSet",
     "Spectrum",
-    "SpectrumSample",
     "edge_wave",
     "find_resonances",
     "spectrum_csv_blocks",
@@ -139,14 +138,6 @@ def transmission_at_k(gp: GraphParams) -> float:
     return (num / den) ** 2
 
 
-@dataclass(frozen=True, slots=True)
-class SpectrumSample:
-    """One scan point: wave number and transmission probability."""
-
-    k: float
-    T: float
-
-
 def _transmission_grid(
     alpha: float, s: float, m: int, ks: np.ndarray
 ) -> np.ndarray:
@@ -159,12 +150,7 @@ def _transmission_grid(
 @dataclass(frozen=True, slots=True, eq=False)
 class Spectrum:
     """T(k) on a grid, ascending in k: two read-only float64 arrays of
-    equal length.
-
-    Iterating or indexing yields :class:`SpectrumSample` values, so the
-    spectrum reads like a sequence of samples while the data stays in
-    the arrays.
-    """
+    equal length.  ``len()`` is the number of grid points."""
 
     k: np.ndarray
     T: np.ndarray
@@ -179,14 +165,8 @@ class Spectrum:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def __iter__(self):
-        return map(SpectrumSample, self.k.tolist(), self.T.tolist())
-
     def __len__(self) -> int:
         return len(self.k)
-
-    def __getitem__(self, i) -> SpectrumSample:
-        return SpectrumSample(float(self.k[i]), float(self.T[i]))
 
 
 def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> None:

@@ -192,9 +192,6 @@ class AmplitudeProfile:
     def window(self) -> tuple[int, int]:
         return (self.x_min, self.x_max)
 
-    def positions(self) -> range:
-        return range(self.x_min, self.x_max + 1)
-
     def at(self, x: int) -> tuple[complex, complex]:
         """Amplitude pair ``(psi_l, psi_r)`` at position ``x``."""
         if not self.x_min <= x <= self.x_max:

@@ -176,21 +176,20 @@ def test_criterion_7_spectrum_peaks_at_resonances():
     perfect-transmission wave numbers."""
     with _criterion(7):
         start = time.perf_counter()
-        samples = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 4096)
+        spec = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 4096)
         roots = find_resonances(1.0, 1.0, 3, 0.1, 5.0)
-        spacing = samples[1].k - samples[0].k
+        k, T = spec.k.tolist(), spec.T.tolist()
+        spacing = k[1] - k[0]
 
         peaks = [
-            samples[i]
-            for i in range(1, len(samples) - 1)
-            if samples[i].T >= samples[i - 1].T
-            and samples[i].T >= samples[i + 1].T
-            and (samples[i].T > samples[i - 1].T or samples[i].T > samples[i + 1].T)
+            i
+            for i in range(1, len(k) - 1)
+            if T[i] >= T[i - 1] and T[i] >= T[i + 1] and (T[i] > T[i - 1] or T[i] > T[i + 1])
         ]
         assert len(peaks) == len(roots) == 5
-        for peak, root in zip(peaks, roots):
-            assert abs(peak.k - root) <= spacing
-            assert abs(peak.T - 1.0) <= 1e-4
+        for i, root in zip(peaks, roots):
+            assert abs(k[i] - root) <= spacing
+            assert abs(T[i] - 1.0) <= 1e-4
         for root in roots:
             gp = GraphParams(1.0, 1.0, 3, root)
             assert resonance_residual(to_tunneling_config(gp)) < 1e-12

@@ -606,10 +606,11 @@ _DEEP = "[" * 30000 + "]" * 30000  # past the recursion limit
         (("stationary", "--barrier", '{"hwp": ' + _LONG_INT + "}", "--m", "2"), None, 1, "--barrier cannot be read"),
         (("stationary", "--config", "CONFIG"), _DEEP, 1, "config file is not valid JSON"),
         (("stationary", "--barrier", _DEEP, "--m", "2"), None, 1, "--barrier cannot be read"),
+        (("resonances", "--preset", "fig2", "a\nb"), None, 1, "unrecognized arguments: a\\nb\n"),
     ],
     ids=["window-bound", "k-arity", "k-number", "config-missing", "config-json", "no-command",
          "config-list", "config-no-m", "nan-entry", "config-long-int", "config-not-utf8", "barrier-long-int",
-         "config-deep", "barrier-deep"],
+         "config-deep", "barrier-deep", "echoed-newline"],
 )
 def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, config, code, message):
     if config is not None:
@@ -1068,7 +1069,7 @@ _PUBLIC = [
     "DivergentSeries", "EdgeOutOfWindow", "EdgeWave", "EvolutionState", "FullReflector", "GraphParams",
     "Injection", "InvalidWaveNumber", "MarginViolation", "ModelError", "NoConvergence", "NotUnitary",
     "NumericalDegeneracy", "QrtwError", "ResonanceSet", "SeriesResult", "SingularSystem", "Spectrum",
-    "SpectrumSample", "StationarySolution", "TrivialBarrier", "TunnelingConfig", "UsageError",
+    "StationarySolution", "TrivialBarrier", "TunnelingConfig", "UsageError",
     "WindowTooSmall", "beta_decompose", "build_profile", "coin_from_json", "config_from_json",
     "determinant", "edge_wave", "find_resonances", "flux_balance", "free_coin", "hadamard",
     "half_wave_plate", "identity_coin", "init_lattice", "make_coin", "norm_check", "profile_from_csv",

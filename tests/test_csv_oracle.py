@@ -18,7 +18,7 @@ from qrtw.scattering import _BLOCK
 
 
 def _reference_profile_csv(profile) -> str:
-    rows = zip(profile.positions(), profile.psi_l.tolist(), profile.psi_r.tolist())
+    rows = zip(range(profile.x_min, profile.x_max + 1), profile.psi_l.tolist(), profile.psi_r.tolist())
     return "x,psiL_re,psiL_im,psiR_re,psiR_im,mu\n" + "".join(
         [f"{x},{l.real!r},{l.imag!r},{r.real!r},{r.imag!r},{abs(l) ** 2 + abs(r) ** 2!r}\n" for x, l, r in rows]
     )

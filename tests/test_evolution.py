@@ -31,7 +31,7 @@ from qrtw import (
     step,
 )
 from qrtw import evolution
-from qrtw.evolution import MAX_SITE_STEPS, _compensated_residual, check_work, default_max_steps, default_window
+from qrtw.evolution import MAX_SITE_STEPS, _full_pass, check_work, default_max_steps, default_window
 from qrtw.scattering import MAX_WINDOW_SITES
 
 
@@ -173,6 +173,18 @@ def test_tol_validation():
     cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=1)
     with pytest.raises(ValueError):
         run_to_convergence(init_lattice(cfg), tol=0.0)
+    # the bounds the CLI's --tol and --max-steps hold, checked before the first step
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=20)
+    for tol in (math.nan, math.inf, -1e-8):
+        state = init_lattice(cfg)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            run_to_convergence(state, tol=tol)
+        assert state.n == 0
+    for max_steps in (0, -3):
+        state = init_lattice(cfg)
+        with pytest.raises(ValueError, match="max_steps must be at least 1"):
+            run_to_convergence(state, max_steps=max_steps)
+        assert state.n == 0
 
 
 def test_on_step_sees_every_state():
@@ -223,28 +235,21 @@ def test_work_limit_admits_the_snapshot_run_and_refuses_past_it(no_window_arrays
         check_work(cfg, sites, MAX_SITE_STEPS // 10**4 + 1, "--max-steps")
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.37])
-def test_residual_equals_the_allocating_formula(delta):
-    def reference(state):
-        # the residual as written before it moved into the state's buffers
-        undo = cmath.exp(-1j * state.cfg.delta)
-        dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
-        dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
-        return float(max(dl, dr))
-
-    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=_rotation_with_bc(0.5), m=20, delta=delta)
-    state = init_lattice(cfg)
-    for _ in range(1500):
-        step(state)
-        assert _compensated_residual(state) == reference(state)
-
-
 def _allocating_residual(state):
     """The residual as written before it moved into the state's buffers."""
     undo = cmath.exp(-1j * state.cfg.delta)
     dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
     dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
     return float(max(dl, dr))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.37])
+def test_residual_equals_the_allocating_formula(delta):
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=_rotation_with_bc(0.5), m=20, delta=delta)
+    state = init_lattice(cfg)
+    for _ in range(1500):
+        step(state)
+        assert _full_pass(state)[0] == _allocating_residual(state)
 
 
 def _reference_run(state, tol, max_steps, on_step=None):
