@@ -43,6 +43,7 @@ from .scattering import (
     AmplitudeProfile,
     Injection,
     build_profile,
+    check_hull_window,
     config_from_json,
     flux_balance,
     profile_max_difference,
@@ -514,7 +515,7 @@ def _run_stationary(args) -> int:
     cfg = args.tunneling
     sol = solve_closed_form(cfg)
     window = args.window if args.window is not None else (-10, cfg.m + 10)
-    profile = build_profile(sol, cfg, window)
+    check_hull_window(window, 0, cfg.m)  # build_profile's check, made whether or not it runs
     try:
         residual = resonance_residual(cfg)
     except NumericalDegeneracy:
@@ -532,7 +533,7 @@ def _run_stationary(args) -> int:
     }
     print(json.dumps(payload, indent=2, allow_nan=False))
     if args.out is not None:
-        _write_atomic(args.out, _render_profile(profile, args.fmt))
+        _write_atomic(args.out, _render_profile(build_profile(sol, cfg, window), args.fmt))
     return 0
 
 
@@ -603,8 +604,6 @@ def _run_evolve(args) -> int:
     sites, steps = check_work(args.tunneling, args.window, args.max_steps, "--max-steps, --window or --m")
     if args.dump_every is not None:
         _check_dump_rows(sites, steps, args.dump_every)
-    if args.out is not None:
-        _check_writable(args.out)
     state = init_lattice(args.tunneling, args.window)
     snapshots = None if args.dump_every is None else _Snapshots(args.out, args.fmt, args.dump_every)
     try:
@@ -724,6 +723,8 @@ def main(argv=None) -> int:
     """Console entry point."""
     try:
         args = parse_config(argv)
+        if getattr(args, "out", None) is not None:  # refused before any work or output, for every command
+            _check_writable(args.out)
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe then raises here, not at exit
         return code

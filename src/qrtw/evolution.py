@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelError, NoConvergence, WindowTooSmall
-from .scattering import AmplitudeProfile, TunnelingConfig, check_window_sites
+from .errors import ModelError, NoConvergence
+from .scattering import AmplitudeProfile, TunnelingConfig, check_hull_window
 
 __all__ = [
     "ConvergenceReport",
@@ -65,7 +65,7 @@ def check_work(
     sites times the step budget (default :func:`default_max_steps`) pass
     :data:`MAX_SITE_STEPS`; the message names the product and ``lower``,
     the inputs that shrink it.  Returns the sites and the budget."""
-    lo, hi = _check_window(cfg, window if window is not None else default_window(cfg))
+    lo, hi = check_hull_window(window if window is not None else default_window(cfg), -1, cfg.m + 1)
     steps = max_steps if max_steps is not None else default_max_steps(cfg)
     work = (hi - lo + 1) * steps
     if work > MAX_SITE_STEPS:
@@ -74,14 +74,6 @@ def check_work(
             f"over the limit of {MAX_SITE_STEPS:.0e}; lower {lower}"
         )
     return hi - lo + 1, steps
-
-
-def _check_window(cfg: TunnelingConfig, window: tuple[int, int]) -> tuple[int, int]:
-    lo, hi = int(window[0]), int(window[1])
-    if lo > -2 or hi < cfg.m + 2:
-        raise WindowTooSmall(f"window [{lo}, {hi}] must contain [-2, {cfg.m + 2}]")
-    check_window_sites(lo, hi)
-    return lo, hi
 
 
 def _site_coins(cfg: TunnelingConfig, x_min: int, x_max: int) -> np.ndarray:
@@ -103,17 +95,15 @@ class EvolutionState:
     ``psi_l``/``psi_r`` are the raw amplitudes (drive phase included),
     and ``injection_phase`` tracks the accumulated ``exp(i*delta*n)``
     of the plane wave injected at the left edge.  ``coins`` holds the
-    site coins as rows ``a, b, c, d``.  A back pair of buffers keeps
-    the amplitudes from before the last step (for :func:`norm_check`
-    and the convergence residual); each step writes into it, with one
-    scratch buffer for the second product, and swaps it to the front,
-    so ``psi_l`` and ``psi_r`` alternate between two fixed arrays.  The
-    convergence residual reuses the scratch buffer, with one real
-    buffer ``_moduli``.  The state starts at zero amplitude on a window checked
-    like :func:`init_lattice`'s; a caller may write ``psi_l``/``psi_r``
-    before the first step.  The drive factor and its inverse, the left
-    edge's plane-wave phase and the slices :func:`step` reads and writes
-    are made once, in ``_drive``, ``_undo``, ``_edge`` and ``_views``.
+    site coins as rows ``a, b, c, d``.  The amplitudes live in one
+    ``(2, 2, sites)`` array ``_psi`` (buffer, channel, site): ``psi_l``
+    and ``psi_r`` view buffer ``_front``, and the back buffer keeps the
+    step before (for :func:`norm_check` and the convergence residual).
+    The state starts at zero amplitude on a window that must contain
+    ``[-2, m + 2]``; a caller may write into ``psi_l``/``psi_r`` before
+    the first step.  ``_operands`` holds the slices :func:`step`
+    reads and writes from each buffer, made once; ``_scratch`` and
+    ``_moduli`` serve it and the residual.
     """
 
     cfg: TunnelingConfig
@@ -121,37 +111,35 @@ class EvolutionState:
     x_max: int
     n: int = field(default=0, init=False)
     injection_phase: complex = field(default=1.0 + 0j, init=False)
-    psi_l: np.ndarray = field(init=False, repr=False)
-    psi_r: np.ndarray = field(init=False, repr=False)
     coins: np.ndarray = field(init=False, repr=False)
-    _back_l: np.ndarray = field(init=False, repr=False)
-    _back_r: np.ndarray = field(init=False, repr=False)
+    _psi: np.ndarray = field(init=False, repr=False)
+    _front: int = field(default=0, init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
     _moduli: np.ndarray = field(init=False, repr=False)
     _drive: complex = field(init=False, repr=False)
     _undo: complex = field(init=False, repr=False)
     _edge: complex = field(init=False, repr=False)
-    _views: tuple = field(init=False, repr=False)
+    _operands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.x_min, self.x_max = _check_window(self.cfg, (self.x_min, self.x_max))
+        self.x_min, self.x_max = check_hull_window((self.x_min, self.x_max), -1, self.cfg.m + 1)
         self.coins = _site_coins(self.cfg, self.x_min, self.x_max)
         sites = self.x_max - self.x_min + 1
-        self.psi_l, self.psi_r, self._back_l, self._back_r, self._scratch = (
-            np.zeros(sites, dtype=complex) for _ in range(5)
-        )
+        self._psi = np.zeros((2, 2, sites), dtype=complex)
+        self._scratch = np.zeros(sites, dtype=complex)
         self._moduli = np.zeros(sites)
         self._drive = cmath.exp(1j * self.cfg.delta)
         self._undo = cmath.exp(-1j * self.cfg.delta)
         self._edge = cmath.exp(1j * self.cfg.q_shifted * self.x_min)
-        self._views = _step_views(self)
+        self._operands = _step_operands(self)
+
+    psi_l = property(lambda self: self._psi[self._front, 0])
+    psi_r = property(lambda self: self._psi[self._front, 1])
 
     def profile(self) -> AmplitudeProfile:
         """Drive-compensated copy of the amplitudes, ``psi * conj(injection_phase)``."""
         comp = self.injection_phase.conjugate()
-        return AmplitudeProfile(
-            self.x_min, self.x_max, self.psi_l * comp, self.psi_r * comp
-        )
+        return AmplitudeProfile(self.x_min, self.x_max, self.psi_l * comp, self.psi_r * comp)
 
 
 def init_lattice(
@@ -168,19 +156,19 @@ def init_lattice(
     return state
 
 
-def _step_views(state: EvolutionState) -> tuple[tuple, tuple]:
-    """The operands of :func:`step` both ways round: from the front pair
-    into the back pair, then from the back pair into the front pair.
-    Each starts with its four arrays, by which :func:`step` knows it."""
+def _step_operands(state: EvolutionState) -> tuple[tuple, tuple]:
+    """The 1-D operands of :func:`step` from each buffer of ``state._psi``
+    into the other, indexed by the buffer read: its two channels, then
+    the other buffer's, then the coins and the shifted slices."""
     a, b, c, d = state.coins
     coins = (a[1:], b[1:], c[:-1], d[:-1])
     tmp = state._scratch[:-1]
 
-    def views(pl, pr, nl, nr):
+    def operands(now, new):
+        (pl, pr), (nl, nr) = state._psi[now], state._psi[new]
         return (pl, pr, nl, nr, *coins, pl[1:], pr[1:], pl[:-1], pr[:-1], nl[:-1], nr[1:], tmp)
 
-    front, back = (state.psi_l, state.psi_r), (state._back_l, state._back_r)
-    return views(*front, *back), views(*back, *front)
+    return operands(0, 1), operands(1, 0)
 
 
 def step(state: EvolutionState) -> EvolutionState:
@@ -190,16 +178,10 @@ def step(state: EvolutionState) -> EvolutionState:
     field then picks up the drive phase ``exp(i*delta)``.  At the left
     edge the incoming right mover is set to the exact driven plane-wave
     value, at the right edge the incoming left mover to zero.  The new
-    amplitudes overwrite the back pair, which then becomes the front
-    one; no array is allocated.  The slices come from ``_views``, made
-    again only when a caller has replaced one of the four arrays.
+    amplitudes overwrite the back buffer, which then becomes the front
+    one; no array is allocated.
     """
-    views, swapped = state._views
-    if not (
-        views[0] is state.psi_l and views[1] is state.psi_r and views[2] is state._back_l and views[3] is state._back_r
-    ):
-        views, swapped = _step_views(state)
-    pl, pr, nl, nr, a, b, c, d, pl_hi, pr_hi, pl_lo, pr_lo, nl_lo, nr_hi, tmp = views
+    pl, pr, nl, nr, a, b, c, d, pl_hi, pr_hi, pl_lo, pr_lo, nl_lo, nr_hi, tmp = state._operands[state._front]
     np.multiply(a, pl_hi, out=nl_lo)
     np.add(nl_lo, np.multiply(b, pr_hi, out=tmp), out=nl_lo)
     nl[-1] = 0.0
@@ -211,9 +193,7 @@ def step(state: EvolutionState) -> EvolutionState:
         np.multiply(nr_hi, drive, out=nr_hi)
     state.injection_phase *= drive
     nr[0] = state.injection_phase * state._edge
-    state.psi_l, state._back_l = nl, pl
-    state.psi_r, state._back_r = nr, pr
-    state._views = (swapped, views)
+    state._front ^= 1
     state.n += 1
     return state
 
@@ -230,9 +210,10 @@ def _full_pass(state: EvolutionState) -> tuple[float, int, int]:
     not bitwise commutative; at zero drive it is 1 and changes the sign
     of a zero at most, which no modulus sees.
     """
+    now_l, now_r, before_l, before_r = state._operands[state._front][:4]
     diff, moduli = state._scratch[2:-2], state._moduli[2:-2]
     sups = []
-    for now, before in ((state.psi_l, state._back_l), (state.psi_r, state._back_r)):
+    for now, before in ((now_l, before_l), (now_r, before_r)):
         np.multiply(state._undo, now[2:-2], out=diff)
         diff -= before[2:-2]
         site = int(np.abs(diff, out=moduli).argmax())
@@ -256,9 +237,10 @@ def _witnessed(state: EvolutionState, site_l: int, site_r: int, tol: float) -> b
     must pass ``tol`` by :data:`_SLACK` of itself, with a drive also of
     ``|psi|`` (the ``_undo`` product's rounding), and by :data:`_TINY`.
     Sites off the interior prove nothing."""
-    last = len(state.psi_l) - 3
+    now_l, now_r, before_l, before_r = state._operands[state._front][:4]
+    last = len(now_l) - 3
     drive = state.cfg.delta != 0.0
-    for now, before, site in ((state.psi_l, state._back_l, site_l), (state.psi_r, state._back_r, site_r)):
+    for now, before, site in ((now_l, before_l, site_l), (now_r, before_r, site_r)):
         if 2 <= site <= last:
             z = now.item(site)
             if drive:
@@ -311,7 +293,8 @@ def run_to_convergence(
     last step, does the full pass run.  The rate compares the final
     residual with the one 3 round trips earlier, which is recomputed at
     the end by replaying from the older of the last two checkpoints,
-    taken every 3 round trips.
+    taken every 3 round trips into the two slots of one array like
+    ``_psi``.
 
     Raises
     ------
@@ -329,12 +312,15 @@ def run_to_convergence(
         raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     round_trip = 2 * state.cfg.m
     span = 3 * round_trip
-    checkpoints = [] if max_steps > span else None  # a shorter run fits no rate
+    saved = np.empty_like(state._psi) if max_steps > span else None  # a shorter run fits no rate
+    marks = []  # (slot of saved, n, injection_phase) of the latest two checkpoints
     site_l, site_r = 0, len(state.psi_l) - 1  # off the interior: the first step takes a full pass
     residual = math.inf
     for k in range(1, max_steps + 1):
-        if checkpoints is not None and (k - 1) % span == 0:  # before steps 1, span + 1, 2 span + 1, ...
-            _checkpoint(checkpoints, state)
+        if saved is not None and (k - 1) % span == 0:  # before steps 1, span + 1, 2 span + 1, ...
+            slot = marks.pop(0)[0] if len(marks) == 2 else len(marks)  # the third overwrites the first
+            saved[slot] = state._psi[state._front]
+            marks.append((slot, state.n, state.injection_phase))
         step(state)
         site_l, site_r = site_l - 1, site_r + 1
         converged = False
@@ -352,42 +338,23 @@ def run_to_convergence(
         )
     rate = None
     if k > span and residual > 0:
-        earlier = _replayed_residual(state, checkpoints, state.n - span)
+        earlier = _replayed_residual(state, saved, marks[0], state.n - span)
         if earlier > 0:
             rate = (residual / earlier) ** (round_trip / span)
-    report = ConvergenceReport(
-        steps=state.n,
-        residual=residual,
-        rate_per_round_trip=rate,
-        round_trip_steps=round_trip,
-    )
-    return state.profile(), report
+    return state.profile(), ConvergenceReport(state.n, residual, rate, round_trip)
 
 
-def _checkpoint(checkpoints: list, state: EvolutionState) -> None:
-    """Keep ``(psi_l, psi_r, n, injection_phase)`` of ``state`` in
-    ``checkpoints``, which holds the latest two; the third overwrites
-    the arrays of the first."""
-    if len(checkpoints) < 2:
-        psi = (state.psi_l.copy(), state.psi_r.copy())
-    else:
-        psi = checkpoints.pop(0)[:2]
-        np.copyto(psi[0], state.psi_l)
-        np.copyto(psi[1], state.psi_r)
-    checkpoints.append((*psi, state.n, state.injection_phase))
-
-
-def _replayed_residual(state: EvolutionState, checkpoints: list, n: int) -> float:
+def _replayed_residual(state: EvolutionState, saved: np.ndarray, mark: tuple, n: int) -> float:
     """The :func:`_full_pass` residual of step ``n``, stepped again from
-    the older checkpoint with the two checkpoints' arrays as the buffer
-    pairs; ``state`` is left as it is.  With checkpoints taken every
-    ``span`` steps and ``n`` at ``span`` before a last step past them
-    both, the older one is at or before step ``n - 1`` and the newer one
-    after it, so the replay takes at most ``span`` steps."""
-    (psi_l, psi_r, start, phase), spare = checkpoints
+    the older checkpoint ``mark`` over the buffers ``saved``, whose other
+    slot, the newer checkpoint, becomes the back buffer; ``state`` is
+    left as it is.  With checkpoints taken every ``span`` steps and ``n``
+    at ``span`` before a last step past them both, the older one is at
+    or before step ``n - 1`` and the newer one after it, so the replay
+    takes at most ``span`` steps."""
     replay = copy.copy(state)  # shares the coins and the scratch buffers
-    replay.psi_l, replay.psi_r, replay.n, replay.injection_phase = psi_l, psi_r, start, phase
-    replay._back_l, replay._back_r = spare[:2]
+    replay._psi, (replay._front, replay.n, replay.injection_phase) = saved, mark
+    replay._operands = _step_operands(replay)
     while replay.n < n:
         step(replay)
     return _full_pass(replay)[0]
@@ -403,7 +370,7 @@ def norm_check(state: EvolutionState) -> float:
     """
     if state.n == 0:
         return 0.0
-    pl, pr = state._back_l, state._back_r
+    now_l, now_r, pl, pr = state._operands[state._front][:4]
     a, b, c, d = state.coins
     lo, hi = 2, len(pl) - 3
 
@@ -413,13 +380,9 @@ def norm_check(state: EvolutionState) -> float:
     def out_r(i: int) -> complex:
         return c[i] * pl[i] + d[i] * pr[i]
 
-    mass_now = float(
-        np.sum(np.abs(state.psi_l[lo : hi + 1]) ** 2)
-        + np.sum(np.abs(state.psi_r[lo : hi + 1]) ** 2)
-    )
-    mass_prev = float(
-        np.sum(np.abs(pl[lo : hi + 1]) ** 2) + np.sum(np.abs(pr[lo : hi + 1]) ** 2)
-    )
+    def mass(psi_l: np.ndarray, psi_r: np.ndarray) -> float:
+        return float(np.sum(np.abs(psi_l[lo : hi + 1]) ** 2) + np.sum(np.abs(psi_r[lo : hi + 1]) ** 2))
+
     inflow = abs(out_r(lo - 1)) ** 2 + abs(out_l(hi + 1)) ** 2
     outflow = abs(out_l(lo)) ** 2 + abs(out_r(hi)) ** 2
-    return (mass_now - mass_prev) - (inflow - outflow)
+    return (mass(now_l, now_r) - mass(pl, pr)) - (inflow - outflow)

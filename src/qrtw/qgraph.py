@@ -202,8 +202,10 @@ def spectrum_scan(
     ``threads > 1`` maps the same blocks over a thread pool, imported
     only then; the output is identical, but on two cores it was slower
     at every size measured (0.11 s against 0.08 s at 10^6 points).
-    More than :data:`MAX_GRID_POINTS` points is a ModelError.
+    A non-integral ``n_points``, or more than :data:`MAX_GRID_POINTS`, is
+    a ModelError.
     """
+    n_points = integer_number(n_points, "the number of grid points")
     if n_points < 2:
         raise ModelError(f"need at least 2 grid points, got {n_points}")
     if n_points > MAX_GRID_POINTS:

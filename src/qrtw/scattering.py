@@ -254,6 +254,19 @@ def check_window_sites(lo: int, hi: int, what: str = "window") -> None:
         )
 
 
+def check_hull_window(window: tuple[int, int], x_lo: int, x_hi: int) -> tuple[int, int]:
+    """``window`` as two ints; WindowTooSmall if it does not contain
+    ``[x_lo-1, x_hi+1]`` and ModelError if it spans more than
+    :data:`MAX_WINDOW_SITES` sites."""
+    lo, hi = int(window[0]), int(window[1])
+    if lo > x_lo - 1 or hi < x_hi + 1:
+        raise WindowTooSmall(
+            f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
+        )
+    check_window_sites(lo, hi)
+    return lo, hi
+
+
 def _plane_wave_window(
     window: tuple[int, int], x_lo: int, x_hi: int, r: complex, t: complex,
     p: float, qe: float, injection: Injection,
@@ -272,16 +285,10 @@ def _plane_wave_window(
 
     The left-channel exponents decrease with ``x`` because a stationary
     left mover in the free region must reproduce itself under the coin
-    phase ``exp(ip)`` applied while moving leftward.  Raises
-    WindowTooSmall if the window does not contain ``[x_lo-1, x_hi+1]``
-    and ModelError if it spans more than :data:`MAX_WINDOW_SITES` sites.
+    phase ``exp(ip)`` applied while moving leftward.  The window is
+    checked by :func:`check_hull_window`.
     """
-    lo, hi = int(window[0]), int(window[1])
-    if lo > x_lo - 1 or hi < x_hi + 1:
-        raise WindowTooSmall(
-            f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
-        )
-    check_window_sites(lo, hi)
+    lo, hi = check_hull_window(window, x_lo, x_hi)
     psi_l = np.zeros(hi - lo + 1, dtype=complex)
     psi_r = np.zeros(hi - lo + 1, dtype=complex)
     left = injection is Injection.LEFT
@@ -599,9 +606,12 @@ def profile_from_csv(text: str) -> AmplitudeProfile:
         parts = line.split(",")
         if len(parts) != 6:
             raise ModelError(f"profile CSV row has {len(parts)} fields: {line!r}")
-        xs.append(int(parts[0]))
-        psi_l.append(complex(float(parts[1]), float(parts[2])))
-        psi_r.append(complex(float(parts[3]), float(parts[4])))
+        try:
+            xs.append(int(parts[0]))
+            psi_l.append(complex(float(parts[1]), float(parts[2])))
+            psi_r.append(complex(float(parts[3]), float(parts[4])))
+        except ValueError:
+            raise ModelError(f"profile CSV row has a malformed number: {line!r}") from None
     if not xs:
         raise ModelError("profile CSV has no data rows")
     for prev, cur in zip(xs, xs[1:]):

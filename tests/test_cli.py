@@ -258,6 +258,30 @@ def test_out_path_must_be_writable(tmp_path, capsys):
     assert err == f"qrtw: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("resonances", "--preset", "fig2"), ("stationary", "--preset", "corollary3")],
+    ids=["resonances", "stationary"],
+)
+def test_unwritable_out_is_refused_before_any_output(tmp_path, capsys, argv):
+    # both once printed their whole result to stdout before the write failed
+    target = tmp_path / "missing" / "result.out"
+    code, out, err = _run(capsys, *argv, "--out", str(target))
+    assert code == 1 and out == ""
+    assert err == f"qrtw: cannot write {target}: No such file or directory\n"
+
+
+def test_stationary_checks_the_window_but_builds_no_profile_without_out(capsys, no_window_arrays):
+    # a 3,000,011-site window once took a profile build the output never used
+    code, out, err = _run(capsys, "stationary", "--preset", "corollary3", "--window", "0:5")
+    assert code == 2 and out == ""
+    assert err == "qrtw: window [0, 5] must contain [-1, 4]\n"
+    _, expected, _ = _run(capsys, "stationary", "--preset", "corollary3")
+    code, out, err = _run(capsys, "stationary", "--preset", "corollary3", "--window=-10:3000000")
+    assert code == 0 and err == ""
+    assert out == expected
+
+
 def test_unwritable_path_with_a_newline_is_one_error_line(tmp_path, capsys):
     target = tmp_path / "a\nb" / "c.csv"
     code, out, err = _run(capsys, "spectrum", "--preset", "fig2", "--out", str(target))

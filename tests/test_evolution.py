@@ -201,12 +201,29 @@ def test_step_advances_the_state_in_place():
     assert step(state) is state
     assert state.n == 1
     assert state.injection_phase == cmath.exp(0.7j)
-    assert state.psi_l is not front[0] and state.psi_r is not front[1]
+    assert not np.shares_memory(state.psi_l, front[0]) and not np.shares_memory(state.psi_r, front[1])
     assert step(state) is state
     assert state.n == 2
     assert state.injection_phase == cmath.exp(0.7j) * cmath.exp(0.7j)
-    # two steps bring back the arrays of n = 0: no window array per step
-    assert state.psi_l is front[0] and state.psi_r is front[1]
+    # two steps bring back the buffers of n = 0
+    assert np.shares_memory(state.psi_l, front[0]) and np.shares_memory(state.psi_r, front[1])
+
+
+def test_step_allocates_no_window_array():
+    # the evolve-snapshots size: 4,241 sites, where one window array is 68 kB
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=half_wave_plate(math.pi / 8), m=200, delta=0.3)
+    state = init_lattice(cfg)
+    for _ in range(10):
+        step(state)
+    tracemalloc.start()
+    try:
+        for _ in range(200):
+            step(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(state.psi_l) == 4241
+    assert peak < 4096
 
 
 def test_profile_is_a_copy_of_the_moving_state():
@@ -235,11 +252,17 @@ def test_work_limit_admits_the_snapshot_run_and_refuses_past_it(no_window_arrays
         check_work(cfg, sites, MAX_SITE_STEPS // 10**4 + 1, "--max-steps")
 
 
+def _back(state):
+    """The amplitudes ``(psi_l, psi_r)`` from before the last step."""
+    return tuple(state._psi[1 - state._front])
+
+
 def _allocating_residual(state):
     """The residual as written before it moved into the state's buffers."""
     undo = cmath.exp(-1j * state.cfg.delta)
-    dl = np.max(np.abs(undo * state.psi_l[2:-2] - state._back_l[2:-2]))
-    dr = np.max(np.abs(undo * state.psi_r[2:-2] - state._back_r[2:-2]))
+    back_l, back_r = _back(state)
+    dl = np.max(np.abs(undo * state.psi_l[2:-2] - back_l[2:-2]))
+    dr = np.max(np.abs(undo * state.psi_r[2:-2] - back_r[2:-2]))
     return float(max(dl, dr))
 
 
@@ -300,7 +323,7 @@ def _outcome(run, cfg, window, tol, max_steps):
             profile.psi_l.tobytes(),
             profile.psi_r.tobytes(),
         )
-    buffers = (state.psi_l, state.psi_r, state._back_l, state._back_r)
+    buffers = (state.psi_l, state.psi_r, *_back(state))
     return result, state.n, state.injection_phase, [b.tobytes() for b in buffers], norm_check(state), seen.hexdigest()
 
 

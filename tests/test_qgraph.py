@@ -293,6 +293,13 @@ def test_chain_span_must_be_an_integer(m):
         spectrum_scan(1.0, 1.0, m, 0.1, 2.0, 4)
 
 
+@pytest.mark.parametrize("n_points", [2.5, "x", None])
+def test_grid_size_must_be_an_integer(n_points):
+    # 2.5 reached np.linspace, which raised its own TypeError
+    with pytest.raises(ModelError, match="number of grid points must be an integer"):
+        spectrum_scan(1.0, 1.0, 1, 0.1, 5.0, n_points)
+
+
 def test_overflowing_chain_is_model_error():
     # 2 k s m and (alpha/k)^2 would overflow and turn T(k) into NaN
     with pytest.raises(ModelError, match="overflows"):

@@ -334,6 +334,9 @@ def test_profile_csv_rejects_malformed():
         profile_from_csv(good + "0,1,0,0,0\n")
     with pytest.raises(ModelError):
         profile_from_csv(good + "0,1,0,0,0,1\n2,1,0,0,0,1\n")
+    for row in ("abc,1,1,1,1,1", "0,zz,1,1,1,1"):
+        with pytest.raises(ModelError, match="malformed number: " + repr(row)):
+            profile_from_csv(good + row + "\n")
 
 
 def _zero_profile(lo, hi):
