@@ -8,13 +8,14 @@ independent solution routes against each other and prints a pass/fail
 table).
 
 On two or more usable CPUs, ``spectrum`` (CSV) and ``evolve
---dump-every N`` each fork one worker (``_fork``): the first formats
-alternate CSV blocks for this process to write in order, the second
-renders and writes the snapshots this process sends it while it keeps
-stepping.  The bytes are the serial path's.  One CPU, no ``os.fork`` or
-a failed fork keep the serial path; the library never forks.  A worker
-failure exits 1 with one line: a failed write's ``cannot write ...``,
-else ``the worker process stopped early``.
+--dump-every N`` each fork one worker (``_fork``): the first computes
+and formats alternate blocks of the spectrum, T(k) and its CSV rows,
+for this process to write in order; the second renders and writes the
+snapshots this process sends it while it keeps stepping.  The bytes
+are the serial path's.  One CPU, no ``os.fork`` or a failed fork keep
+the serial path; the library never forks.  A worker failure exits 1
+with one line: a failed write's ``cannot write ...``, else ``the
+worker process stopped early``.
 
 Exit codes: 0 success, 1 usage problems, a failed write, a failed
 verify or a stdout closed by its reader (nothing more is written, not
@@ -479,18 +480,22 @@ def _cjson(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _pieces(values: np.ndarray):
+    """``values`` as consecutive :data:`_BLOCK`-long slices."""
+    return (values[i : i + _BLOCK] for i in range(0, len(values), _BLOCK))
+
+
 def _json_blocks(head: dict, arrays: dict):
     """Yield a JSON document: the ``head`` entries, then each named
     array, laid out as ``json.dumps(..., indent=2, allow_nan=False)``
-    lays the whole document out.  A complex array is written as
-    ``[re, im]`` pairs.  Each array is formatted :data:`_BLOCK` entries
-    at a time by the C encoder, so neither its list of numbers nor the
-    whole text is held."""
+    lays the whole document out.  Each array comes as an iterable of
+    :data:`_BLOCK`-long pieces, which the C encoder formats one at a
+    time, so neither the array's list of numbers nor the whole text is
+    held.  A complex array is written as ``[re, im]`` pairs."""
     yield json.dumps(head, indent=2, allow_nan=False)[:-2]
-    for name, values in arrays.items():
+    for name, pieces in arrays.items():
         yield f',\n  "{name}": [\n    '
-        for i in range(0, len(values), _BLOCK):
-            chunk = values[i : i + _BLOCK]
+        for i, chunk in enumerate(pieces):
             if np.iscomplexobj(chunk):
                 # The encoder writes [[a,\n b],\n [c, ...]]; indent=2 puts each bracket on its own line.
                 pairs = np.stack((chunk.real, chunk.imag), axis=1).tolist()
@@ -507,7 +512,8 @@ def _render_profile(profile: AmplitudeProfile, fmt: str):
     if fmt == "json":
         pl, pr = profile.psi_l, profile.psi_r
         mu = np.abs(pl) ** 2 + np.abs(pr) ** 2
-        return _json_blocks({"x_min": profile.x_min, "x_max": profile.x_max}, {"psi_l": pl, "psi_r": pr, "mu": mu})
+        arrays = {"psi_l": _pieces(pl), "psi_r": _pieces(pr), "mu": _pieces(mu)}
+        return _json_blocks({"x_min": profile.x_min, "x_max": profile.x_max}, arrays)
     return profile_to_csv(profile)
 
 
@@ -629,7 +635,9 @@ def _run_spectrum(args) -> int:
     k_min, k_max, n = args.k
     spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
     if args.fmt == "json":
-        text = _json_blocks({"alpha": args.alpha, "s": args.s, "m": args.m}, {"k": spec.k, "T": spec.T})
+        starts = range(0, len(spec), _BLOCK)
+        arrays = {"k": map(spec.k_block, starts), "T": (spec.block(start)[1] for start in starts)}
+        text = _json_blocks({"alpha": args.alpha, "s": args.s, "m": args.m}, arrays)
     else:
         text = spectrum_csv_blocks(spec, _forked_map)
     if args.out is not None:

@@ -200,6 +200,24 @@ def integer_number(value: Any, what: str) -> int:
     return number
 
 
+def checked_phases(p: Any, q: Any, delta: Any, reach: int, what: str) -> tuple[float, float, float]:
+    """``p``, ``q`` and ``delta`` by :func:`finite_number`, or ModelError
+    unless every phase read out to ``reach`` sites from the origin,
+    bounded by ``2*(|p|+|q|+|delta|)*reach``, is finite; ``what`` names
+    the input that set a ``reach`` with no float."""
+    p, q, delta = (finite_number(value, name) for value, name in ((p, "p"), (q, "q"), (delta, "delta")))
+    try:
+        bound = 2.0 * (abs(p) + abs(q) + abs(delta)) * float(reach)
+    except OverflowError:
+        raise ModelError(f"{what} is too large for the phase arithmetic") from None
+    if not math.isfinite(bound):
+        raise ModelError(
+            f"phases p={p!r}, q={q!r}, delta={delta!r} are too large "
+            f"for the phase arithmetic {reach} sites from the origin"
+        )
+    return p, q, delta
+
+
 def coin_from_json(data: Any) -> Coin:
     """Read a coin from its JSON form: entries or a named preset.
 

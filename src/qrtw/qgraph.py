@@ -149,24 +149,69 @@ def _transmission_grid(
 
 @dataclass(frozen=True, slots=True, eq=False)
 class Spectrum:
-    """T(k) on a grid, ascending in k: two read-only float64 arrays of
-    equal length.  ``len()`` is the number of grid points."""
+    """T(k) on ``np.linspace(k_min, k_max, n)``, evaluated when read.
 
-    k: np.ndarray
-    T: np.ndarray
+    :meth:`block` gives the ``k`` and ``T`` of :data:`_BLOCK` grid
+    points, so a writer that renders block by block holds one block;
+    the ``k`` and ``T`` properties build the whole read-only arrays.
+    ``len()`` is ``n``.  Construction checks what :func:`spectrum_scan`
+    documents.
+    """
+
+    alpha: float
+    s: float
+    m: int
+    k_min: float
+    k_max: float
+    n: int
 
     def __post_init__(self) -> None:
-        k, T = (np.asarray(a, dtype=np.float64).view() for a in (self.k, self.T))
-        if k.ndim != 1 or k.shape != T.shape:
-            raise ModelError(
-                f"spectrum needs 1-D k and T of one length, got shapes {k.shape} and {T.shape}"
-            )
-        for name, arr in (("k", k), ("T", T)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        n = integer_number(self.n, "the number of grid points")
+        if n < 2:
+            raise ModelError(f"need at least 2 grid points, got {n}")
+        if n > MAX_GRID_POINTS:
+            raise ModelError(f"{n} grid points exceed the limit of {MAX_GRID_POINTS}")
+        _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
+        for name, value in (("k_min", float(self.k_min)), ("k_max", float(self.k_max)), ("n", n)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.k)
+        return self.n
+
+    def k_block(self, start: int) -> np.ndarray:
+        """Grid points ``start`` up to ``start + _BLOCK``, by
+        ``np.linspace``'s own elementwise arithmetic (index times
+        ``(k_max - k_min) / (n - 1)``, plus ``k_min``; the last point
+        ``k_max``), so each has the bits of the whole-grid linspace."""
+        if not 0 <= start < self.n:
+            raise IndexError(f"block start {start} outside the grid of {self.n} points")
+        stop = min(start + _BLOCK, self.n)
+        k = np.arange(start, stop, dtype=np.float64)
+        k *= (self.k_max - self.k_min) / (self.n - 1)
+        k += self.k_min
+        if stop == self.n:
+            k[-1] = self.k_max
+        return k
+
+    def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """``k`` and ``T`` of grid points ``start`` up to ``start + _BLOCK``."""
+        k = self.k_block(start)
+        return k, _transmission_grid(self.alpha, self.s, self.m, k)
+
+    def _whole(self, column) -> np.ndarray:
+        whole = np.concatenate([column(start) for start in range(0, self.n, _BLOCK)])
+        whole.flags.writeable = False
+        return whole
+
+    @property
+    def k(self) -> np.ndarray:
+        """The whole grid, a new read-only float64 array."""
+        return self._whole(self.k_block)
+
+    @property
+    def T(self) -> np.ndarray:
+        """T(k) on the whole grid, a new read-only float64 array."""
+        return self._whole(lambda start: self.block(start)[1])
 
 
 def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> None:
@@ -191,41 +236,20 @@ def spectrum_scan(
     n_points: int,
     threads: int = 1,
 ) -> Spectrum:
-    """Evaluate T(k) on ``np.linspace(k_min, k_max, n_points)``.
+    """T(k) on ``np.linspace(k_min, k_max, n_points)``, as a
+    :class:`Spectrum` that evaluates its blocks when they are read.
 
-    The kernel fills a preallocated ``T`` :data:`_BLOCK` points at a
-    time, so its temporaries stay one block long; the ufuncs are
-    elementwise, so the values are those of one whole-grid call.  ``k``
-    is always one whole-grid ``np.linspace``, because a linspace built
-    block by block rounds differently.
+    The kernel's ufuncs are elementwise, so a block's ``T`` is that of
+    one whole-grid call.  ``threads`` is accepted and ignored: nothing
+    is computed here to share out.
 
-    ``threads > 1`` maps the same blocks over a thread pool, imported
-    only then; the output is identical, but on two cores it was slower
-    at every size measured (0.11 s against 0.08 s at 10^6 points).
-    A non-integral ``n_points``, or more than :data:`MAX_GRID_POINTS`, is
-    a ModelError.
+    A non-integral ``n_points``, fewer than 2 or more than
+    :data:`MAX_GRID_POINTS` is a ModelError, as is a chain
+    :class:`GraphParams` refuses at either end of the bracket; a
+    bracket that is not finite, empty or below :data:`K_FLOOR` is an
+    InvalidWaveNumber.
     """
-    n_points = integer_number(n_points, "the number of grid points")
-    if n_points < 2:
-        raise ModelError(f"need at least 2 grid points, got {n_points}")
-    if n_points > MAX_GRID_POINTS:
-        raise ModelError(f"{n_points} grid points exceed the limit of {MAX_GRID_POINTS}")
-    _check_bracket(alpha, s, m, k_min, k_max)
-    ks = np.linspace(k_min, k_max, n_points)
-    ts = np.empty_like(ks)
-
-    def fill(start: int) -> None:
-        ts[start : start + _BLOCK] = _transmission_grid(alpha, s, m, ks[start : start + _BLOCK])
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(0, n_points, _BLOCK)))
-    else:
-        for start in range(0, n_points, _BLOCK):
-            fill(start)
-    return Spectrum(ks, ts)
+    return Spectrum(alpha, s, m, k_min, k_max, n_points)
 
 
 @dataclass(frozen=True, slots=True)
@@ -361,23 +385,24 @@ def edge_wave(
 
 def _csv_block(spectrum: Spectrum, start: int) -> str:
     """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
-    the header: the one per-block renderer."""
+    the header: the one per-block renderer, which evaluates the block
+    (:meth:`Spectrum.block`) it renders."""
     from ._shortest import csv_rows  # loaded on first use: import qrtw stays lean
 
-    return "".join(csv_rows([spectrum.k[start : start + _BLOCK], spectrum.T[start : start + _BLOCK]]))
+    return "".join(csv_rows(spectrum.block(start)))
 
 
 def spectrum_csv_blocks(spectrum: Spectrum, map_blocks=map):
     """Yield a spectrum's ``k,T`` CSV as text blocks: the header line,
-    then :data:`_BLOCK` rows at a time, each rendered by :func:`_csv_block`.
+    then :data:`_BLOCK` rows at a time, each evaluated and rendered by
+    :func:`_csv_block`.
 
     ``map_blocks(render, starts)`` must yield ``render(start)`` for every
     block start, in order.  The default renders them here, one after the
     other; the CLI passes a map that renders alternate blocks in a forked
-    worker process.  Rows are formatted straight from the arrays, so a
-    caller that writes each block as it comes never holds the whole CSV.
+    worker process.  A caller that writes each block as it comes holds
+    one block of the grid and of the text, never the whole of either.
     """
     yield "k,T\n"
     starts = range(0, len(spectrum), _BLOCK)
     yield from map_blocks(lambda start: _csv_block(spectrum, start), starts)
-

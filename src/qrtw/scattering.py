@@ -34,7 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, coin_from_json, determinant, finite_number, integer_number
+from .coin import Coin, beta_decompose, checked_phases, coin_from_json, determinant, integer_number
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -104,17 +104,9 @@ class TunnelingConfig:
         if m < 1:
             raise ModelError(f"barrier separation m must be >= 1, got {m}")
         object.__setattr__(self, "m", m)
-        for name in ("p", "q", "delta"):
-            object.__setattr__(self, name, finite_number(getattr(self, name), name))
-        try:
-            span = float(m) + MAX_WINDOW_SITES
-        except OverflowError:
-            raise ModelError("barrier separation m is too large for the phase arithmetic") from None
-        if not math.isfinite(2.0 * (abs(self.p) + abs(self.q) + abs(self.delta)) * span):
-            raise ModelError(
-                f"phases p={self.p!r}, q={self.q!r}, delta={self.delta!r} are too large "
-                f"for the phase arithmetic at m={m}"
-            )
+        phases = checked_phases(self.p, self.q, self.delta, m + MAX_WINDOW_SITES, "barrier separation m")
+        for name, value in zip(("p", "q", "delta"), phases):
+            object.__setattr__(self, name, value)
 
     @property
     def bc(self) -> complex:
@@ -376,7 +368,9 @@ def solve_general(
     ------
     ModelError
         When the hull or the window spans more than
-        :data:`MAX_WINDOW_SITES` sites.
+        :data:`MAX_WINDOW_SITES` sites, for an ``injection`` that is not
+        an :class:`Injection`, and for phases :class:`TunnelingConfig`
+        would refuse with the farthest defect in place of ``m``.
     SingularSystem
         When a bounce denominator ``|1 - c*refl'|`` falls below 1e-12,
         which is how a degenerate resonance shows up here.
@@ -388,8 +382,11 @@ def solve_general(
             raise ModelError(f"defect position {pos!r} is not an integer")
         if not isinstance(u, Coin):
             raise ModelError(f"defect at {pos} is not a Coin")
+    if not isinstance(injection, Injection):
+        raise ModelError(f"injection must be Injection.LEFT or Injection.RIGHT, got {injection!r}")
     x_lo, x_hi = int(min(coins)), int(max(coins))
     check_window_sites(x_lo, x_hi, "defect hull")
+    p, q, delta = checked_phases(p, q, delta, max(-x_lo, x_hi) + MAX_WINDOW_SITES, "a defect position")
     qe = q + delta
     if injection is Injection.LEFT:
         incoming = cmath.exp(1j * qe * x_lo)

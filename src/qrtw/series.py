@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from .coin import integer_number
 from .errors import DivergentSeries
 from .scattering import TunnelingConfig
 
@@ -66,13 +67,18 @@ def t_series(cfg: TunnelingConfig, max_bounces: int) -> SeriesResult:
 
     Raises
     ------
+    ModelError
+        When ``max_bounces`` is not an integral number.
+    ValueError
+        When it is negative.
     DivergentSeries
         When ``|bc| >= 1`` (up to 1e-14), where the expansion is
         meaningless.
     """
+    max_bounces = integer_number(max_bounces, "max_bounces")
     if max_bounces < 0:
         raise ValueError("max_bounces must be nonnegative")
-    k_max = min(int(max_bounces), MAX_TERMS)
+    k_max = min(max_bounces, MAX_TERMS)
     lead, ratio = _lead_and_ratio(cfg)
     total = 0j
     term = lead

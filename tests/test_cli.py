@@ -673,7 +673,7 @@ def test_error_line_is_bounded_whatever_the_argument(capsys, argv, code):
 
 
 def test_import_loads_no_thread_pool():
-    # spectrum_scan imports its pool only when a caller asks for threads
+    # the CLI's forked workers are plain os.fork processes: no executor, no logging
     src = str(Path(qrtw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = "import sys, qrtw.cli; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from qrtw import (
     transmission_at_k,
     vertex_coin,
 )
-from qrtw.qgraph import _BLOCK, _loop_phase, _transmission_grid
+from qrtw.qgraph import _BLOCK, K_FLOOR, _loop_phase, _transmission_grid
 
 # located once by the brute bisection below and frozen; alpha=1, s=1, m=3
 FIRST_ROOT = 0.7248753428962931
@@ -231,10 +232,6 @@ def test_spectrum_arrays_are_read_only_and_match_samples():
             arr[0] = 0.0
     assert np.array_equal(spec.k, np.linspace(0.1, 5.0, 257))
     assert len(spec) == len(spec.T) == 257
-    with pytest.raises(ModelError):
-        Spectrum([0.1, 0.2], [1.0])
-    with pytest.raises(ModelError):
-        Spectrum(np.zeros((2, 2)), np.zeros((2, 2)))
 
 
 def test_spectrum_csv_matches_row_loop_across_blocks():
@@ -257,6 +254,41 @@ def test_blockwise_scan_equals_whole_grid_kernel(n):
     assert np.array_equal(spec.T, _transmission_grid(2.5, 0.7, 5, ks))
     threaded = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n, threads=2)
     assert np.array_equal(threaded.k, spec.k) and np.array_equal(threaded.T, spec.T)
+
+
+def _brackets():
+    """Fixed edge cases, then seeded random ones: (k_min, k_max, n)."""
+    fixed = [(0.1, 5.0, n) for n in (2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1)]
+    fixed += [(K_FLOOR, math.nextafter(K_FLOOR, 1.0), _BLOCK + 2), (K_FLOOR, 1e300, 2 * _BLOCK + 7)]
+    rng = np.random.default_rng(42)
+    for _ in range(12):
+        k_min = K_FLOOR * 10.0 ** rng.uniform(0, 8)
+        fixed.append((k_min, k_min * (1 + 10.0 ** rng.uniform(-15, 3)), int(rng.integers(2, 3 * _BLOCK))))
+    return fixed
+
+
+@pytest.mark.parametrize("k_min, k_max, n", _brackets())
+def test_blocks_are_the_linspace_bit_for_bit(k_min, k_max, n):
+    spec = Spectrum(1.0, 1.0, 3, k_min, k_max, n)
+    blocks = [spec.k_block(start) for start in range(0, n, _BLOCK)]
+    assert np.concatenate(blocks).tobytes() == np.linspace(k_min, k_max, n).tobytes()
+    assert np.array_equal(spec.block(0)[0], blocks[0])
+    with pytest.raises(IndexError):
+        spec.k_block(n)
+
+
+def test_spectrum_csv_is_rendered_one_block_at_a_time():
+    # the kernel's tables (built once a process) are built first; a grid held whole, or a T
+    # computed ahead of its block, would alone take 1.6 MB per array
+    "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 2)))
+    tracemalloc.start()
+    try:
+        for _block in spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 200_000)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
 
 
 def test_spectrum_csv_is_the_joined_blocks():

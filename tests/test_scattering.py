@@ -388,6 +388,28 @@ def test_solve_general_window_contract():
         solve_general(coins, 0.0, Injection.LEFT, cfg.p, cfg.q, window=(0, 11))
 
 
+@pytest.mark.parametrize("injection", ["left", "right", None, 0])
+def test_solve_general_injection_must_be_an_injection(injection):
+    # "left" and None once solved right injection and labelled it injection='left'
+    with pytest.raises(ModelError, match="injection must be"):
+        solve_general({0: hadamard(), 3: hadamard()}, 0.0, injection, 0.3, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p, delta, message",
+    [(math.nan, 0.0, "p must be finite"), (0.3, math.inf, "delta must be finite"), (1e308, 0.0, "too large")],
+)
+def test_solve_general_phases_are_checked(p, delta, message):
+    # nan and inf once gave a solution of NaNs, 1e308 a bare math domain error
+    with pytest.raises(ModelError, match=message):
+        solve_general({0: hadamard(), 3: hadamard()}, delta, Injection.LEFT, p, 0.5)
+
+
+def test_solve_general_refuses_a_defect_with_no_float():
+    with pytest.raises(ModelError, match="defect position .* too large"):
+        solve_general({10**400: hadamard()}, 0.0, Injection.LEFT, 0.3, 0.5)
+
+
 def test_solve_general_bounds_hull_and_window(no_window_arrays):
     u = hadamard()
     with pytest.raises(ModelError, match="defect hull .* limit of 10000000"):

@@ -8,6 +8,7 @@ import pytest
 from conftest import random_config
 from qrtw import (
     DivergentSeries,
+    ModelError,
     TunnelingConfig,
     hadamard,
     make_coin,
@@ -65,6 +66,14 @@ def test_negative_bounces_rejected():
     cfg = TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=1)
     with pytest.raises(ValueError):
         t_series(cfg, -1)
+
+
+@pytest.mark.parametrize("bounces", [1.5, math.nan, math.inf, "3"])
+def test_bounce_count_must_be_an_integer(bounces):
+    # 1.5 once summed 2 terms; nan, inf and "3" raised bare ValueError, OverflowError and TypeError
+    cfg = TunnelingConfig(p=0.1, q=0.2, barrier=hadamard(), m=1)
+    with pytest.raises(ModelError, match="max_bounces must be an integer"):
+        t_series(cfg, bounces)
 
 
 def test_term_budget_is_clamped():
