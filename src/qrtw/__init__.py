@@ -4,7 +4,8 @@ form, as a linear system, as a bounce series, and by direct time
 stepping.  A delta-potential chain maps onto the same walk, giving the
 transmission spectrum and its perfect-transmission wave numbers."""
 
-from . import coin, errors, evolution, qgraph, scattering, series
+from . import artifacts, coin, errors, evolution, qgraph, scattering, series
+from .artifacts import *
 from .coin import *
 from .errors import *
 from .evolution import *
@@ -14,10 +15,6 @@ from .series import *
 
 __version__ = "0.1.0"
 
-__all__: list[str] = []
-__all__ += coin.__all__
-__all__ += errors.__all__
-__all__ += evolution.__all__
-__all__ += qgraph.__all__
-__all__ += scattering.__all__
-__all__ += series.__all__
+__all__ = [
+    name for module in (artifacts, coin, errors, evolution, qgraph, scattering, series) for name in module.__all__
+]

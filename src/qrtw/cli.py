@@ -5,7 +5,8 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 ``spectrum`` (transmission scan over wave numbers), ``resonances``
 (perfect-transmission wave numbers), and ``verify`` (cross-checks the
 independent solution routes against each other and prints a pass/fail
-table).
+table).  Every artifact's text comes from :mod:`qrtw.artifacts`; this
+module picks the writer and writes its blocks to a file or stdout.
 
 On two or more usable CPUs, ``spectrum`` (CSV) and ``evolve
 --dump-every N`` each fork one worker (``_fork``): the first computes
@@ -36,11 +37,11 @@ from collections import namedtuple
 
 import numpy as np
 
+from .artifacts import profile_json, profile_to_csv, spectrum_csv_blocks, spectrum_json
 from .errors import ModelError, NoConvergence, NumericalDegeneracy, UsageError
 from .evolution import check_work, init_lattice, run_to_convergence
-from .qgraph import find_resonances, spectrum_csv_blocks, spectrum_scan
+from .qgraph import find_resonances, spectrum_scan
 from .scattering import (
-    _BLOCK,
     AmplitudeProfile,
     Injection,
     build_profile,
@@ -48,7 +49,6 @@ from .scattering import (
     config_from_json,
     flux_balance,
     profile_max_difference,
-    profile_to_csv,
     resonance_residual,
     solve_closed_form,
     solve_general,
@@ -480,41 +480,8 @@ def _cjson(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
-def _pieces(values: np.ndarray):
-    """``values`` as consecutive :data:`_BLOCK`-long slices."""
-    return (values[i : i + _BLOCK] for i in range(0, len(values), _BLOCK))
-
-
-def _json_blocks(head: dict, arrays: dict):
-    """Yield a JSON document: the ``head`` entries, then each named
-    array, laid out as ``json.dumps(..., indent=2, allow_nan=False)``
-    lays the whole document out.  Each array comes as an iterable of
-    :data:`_BLOCK`-long pieces, which the C encoder formats one at a
-    time, so neither the array's list of numbers nor the whole text is
-    held.  A complex array is written as ``[re, im]`` pairs."""
-    yield json.dumps(head, indent=2, allow_nan=False)[:-2]
-    for name, pieces in arrays.items():
-        yield f',\n  "{name}": [\n    '
-        for i, chunk in enumerate(pieces):
-            if np.iscomplexobj(chunk):
-                # The encoder writes [[a,\n b],\n [c, ...]]; indent=2 puts each bracket on its own line.
-                pairs = np.stack((chunk.real, chunk.imag), axis=1).tolist()
-                text = json.dumps(pairs, separators=(",\n      ", ": "), allow_nan=False)
-                text = "[\n      " + text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ") + "\n    ]"
-            else:
-                text = json.dumps(chunk.tolist(), separators=(",\n    ", ": "), allow_nan=False)[1:-1]
-            yield (",\n    " if i else "") + text
-        yield "\n  ]"
-    yield "\n}\n"
-
-
 def _render_profile(profile: AmplitudeProfile, fmt: str):
-    if fmt == "json":
-        pl, pr = profile.psi_l, profile.psi_r
-        mu = np.abs(pl) ** 2 + np.abs(pr) ** 2
-        arrays = {"psi_l": _pieces(pl), "psi_r": _pieces(pr), "mu": _pieces(mu)}
-        return _json_blocks({"x_min": profile.x_min, "x_max": profile.x_max}, arrays)
-    return profile_to_csv(profile)
+    return profile_json(profile) if fmt == "json" else profile_to_csv(profile)
 
 
 def _run_stationary(args) -> int:
@@ -634,12 +601,8 @@ def _run_evolve(args) -> int:
 def _run_spectrum(args) -> int:
     k_min, k_max, n = args.k
     spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
-    if args.fmt == "json":
-        starts = range(0, len(spec), _BLOCK)
-        arrays = {"k": map(spec.k_block, starts), "T": (spec.block(start)[1] for start in starts)}
-        text = _json_blocks({"alpha": args.alpha, "s": args.s, "m": args.m}, arrays)
-    else:
-        text = spectrum_csv_blocks(spec, _forked_map)
+    head = {"alpha": args.alpha, "s": args.s, "m": args.m}
+    text = spectrum_json(spec, head) if args.fmt == "json" else spectrum_csv_blocks(spec, _forked_map)
     if args.out is not None:
         _write_atomic(args.out, text)
     else:

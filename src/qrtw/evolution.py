@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .coin import integer_number
 from .errors import ModelError, NoConvergence
 from .scattering import AmplitudeProfile, TunnelingConfig, check_hull_window
 
@@ -299,7 +300,7 @@ def run_to_convergence(
     Raises
     ------
     ValueError
-        Unless ``0 < tol < inf`` and ``max_steps >= 1``.
+        Unless ``0 < tol < inf`` and ``max_steps`` is an integer ``>= 1``.
     NoConvergence
         When ``max_steps`` (default :func:`default_max_steps`) is
         exhausted first, with the final residual in the message.
@@ -308,6 +309,7 @@ def run_to_convergence(
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_steps is None:
         max_steps = default_max_steps(state.cfg)
+    max_steps = integer_number(max_steps, "max_steps")
     if max_steps < 1:
         raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
     round_trip = 2 * state.cfg.m

@@ -17,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import _BLOCK
 from .coin import Coin, finite_number, integer_number, make_coin
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
-from .scattering import _BLOCK, AmplitudeProfile, TunnelingConfig
+from .scattering import AmplitudeProfile, TunnelingConfig
 
 __all__ = [
     "EdgeWave",
@@ -28,7 +29,6 @@ __all__ = [
     "Spectrum",
     "edge_wave",
     "find_resonances",
-    "spectrum_csv_blocks",
     "spectrum_scan",
     "to_tunneling_config",
     "transmission_at_k",
@@ -343,6 +343,7 @@ class EdgeWave:
     s: float
 
     def value(self, x: float) -> complex:
+        x = finite_number(x, "x")
         if x < 0.0 or x > self.s:
             raise ModelError(f"x must lie in [0, {self.s}], got {x}")
         return self.gamma_a * cmath.exp(-1j * self.k * x) + self.gamma_abar * cmath.exp(
@@ -361,6 +362,7 @@ def edge_wave(
     walk amplitudes at the edge's two ends (the co-moving component at
     the terminus, the counter-moving one at the far end).
     """
+    terminus = integer_number(terminus, "terminus")
     if direction == "rightward":
         far = terminus - 1
     elif direction == "leftward":
@@ -381,28 +383,3 @@ def edge_wave(
         gamma_a = profile.at(terminus)[0]
         gamma_abar = profile.at(far)[1]
     return EdgeWave(gamma_a, gamma_abar, gp.k, gp.s)
-
-
-def _csv_block(spectrum: Spectrum, start: int) -> str:
-    """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
-    the header: the one per-block renderer, which evaluates the block
-    (:meth:`Spectrum.block`) it renders."""
-    from ._shortest import csv_rows  # loaded on first use: import qrtw stays lean
-
-    return "".join(csv_rows(spectrum.block(start)))
-
-
-def spectrum_csv_blocks(spectrum: Spectrum, map_blocks=map):
-    """Yield a spectrum's ``k,T`` CSV as text blocks: the header line,
-    then :data:`_BLOCK` rows at a time, each evaluated and rendered by
-    :func:`_csv_block`.
-
-    ``map_blocks(render, starts)`` must yield ``render(start)`` for every
-    block start, in order.  The default renders them here, one after the
-    other; the CLI passes a map that renders alternate blocks in a forked
-    worker process.  A caller that writes each block as it comes holds
-    one block of the grid and of the text, never the whole of either.
-    """
-    yield "k,T\n"
-    starts = range(0, len(spectrum), _BLOCK)
-    yield from map_blocks(lambda start: _csv_block(spectrum, start), starts)

@@ -27,9 +27,7 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -53,9 +51,7 @@ __all__ = [
     "build_profile",
     "config_from_json",
     "flux_balance",
-    "profile_from_csv",
     "profile_max_difference",
-    "profile_to_csv",
     "resonance_residual",
     "solve_closed_form",
     "solve_general",
@@ -65,10 +61,7 @@ __all__ = [
 _DEGENERACY_EPS = 1e-12
 _TRIVIAL_EPS = 1e-14
 MAX_WINDOW_SITES = 10_000_000
-
-_BLOCK = 1 << 14
-"""Rows per text block of every streamed artifact (profile and spectrum,
-CSV and JSON), and grid points per block of the T(k) kernel."""
+_POSITION_LIMIT = 1 << 53  # below it a position, its float and the CSV kernel's int64 index agree
 
 
 class Injection(enum.Enum):
@@ -157,8 +150,9 @@ class AmplitudeProfile:
     """Two-channel amplitudes over a window of consecutive sites.
 
     ``psi_l[i]`` and ``psi_r[i]`` hold the left- and right-channel
-    amplitude at position ``x_min + i``.  The arrays are copied on
-    construction and frozen read-only.
+    amplitude at position ``x_min + i``; the positions are integers
+    below 2**53 in magnitude.  The arrays are copied on construction and
+    frozen read-only.
     """
 
     x_min: int
@@ -167,8 +161,11 @@ class AmplitudeProfile:
     psi_r: np.ndarray
 
     def __post_init__(self):
+        for name in ("x_min", "x_max"):
+            object.__setattr__(self, name, integer_number(getattr(self, name), name))
         if self.x_max < self.x_min:
             raise ModelError("window is empty")
+        _check_positions(self.x_min, self.x_max, "window")
         n = self.x_max - self.x_min + 1
         for name in ("psi_l", "psi_r"):
             arr = np.array(getattr(self, name), dtype=complex)
@@ -237,20 +234,28 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
     )
 
 
+def _check_positions(lo: int, hi: int, what: str) -> None:
+    """ModelError unless ``lo`` and ``hi`` lie strictly between -2**53 and 2**53."""
+    if max(abs(lo), abs(hi)) >= _POSITION_LIMIT:
+        raise ModelError(f"{what} [{lo}, {hi}] reaches past the position limit of 2**53")
+
+
 def check_window_sites(lo: int, hi: int, what: str = "window") -> None:
     """ModelError if ``[lo, hi]`` spans more than :data:`MAX_WINDOW_SITES`
-    sites; called before anything is allocated over the range."""
+    sites or reaches 2**53 in magnitude; called before anything is
+    allocated over the range."""
     if hi - lo + 1 > MAX_WINDOW_SITES:
         raise ModelError(
             f"{what} [{lo}, {hi}] spans {hi - lo + 1} sites, over the limit of {MAX_WINDOW_SITES}"
         )
+    _check_positions(lo, hi, what)
 
 
 def check_hull_window(window: tuple[int, int], x_lo: int, x_hi: int) -> tuple[int, int]:
     """``window`` as two ints; WindowTooSmall if it does not contain
-    ``[x_lo-1, x_hi+1]`` and ModelError if it spans more than
-    :data:`MAX_WINDOW_SITES` sites."""
-    lo, hi = int(window[0]), int(window[1])
+    ``[x_lo-1, x_hi+1]`` and ModelError if a bound is not an integer or
+    :func:`check_window_sites` refuses it."""
+    lo, hi = integer_number(window[0], "window bound"), integer_number(window[1], "window bound")
     if lo > x_lo - 1 or hi < x_hi + 1:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
@@ -385,8 +390,8 @@ def solve_general(
     if not isinstance(injection, Injection):
         raise ModelError(f"injection must be Injection.LEFT or Injection.RIGHT, got {injection!r}")
     x_lo, x_hi = int(min(coins)), int(max(coins))
-    check_window_sites(x_lo, x_hi, "defect hull")
     p, q, delta = checked_phases(p, q, delta, max(-x_lo, x_hi) + MAX_WINDOW_SITES, "a defect position")
+    check_window_sites(x_lo, x_hi, "defect hull")
     qe = q + delta
     if injection is Injection.LEFT:
         incoming = cmath.exp(1j * qe * x_lo)
@@ -481,7 +486,7 @@ def flux_balance(
     MarginViolation
         If the one-site margins fall outside the profile window.
     """
-    x_lo, x_hi = int(interval[0]), int(interval[1])
+    x_lo, x_hi = integer_number(interval[0], "interval bound"), integer_number(interval[1], "interval bound")
     if x_hi < x_lo:
         raise ModelError(f"interval [{x_lo}, {x_hi}] is empty")
     if x_lo - 1 < profile.x_min or x_hi + 1 > profile.x_max:
@@ -536,9 +541,9 @@ def profile_max_difference(
     lo = max(first.x_min, second.x_min)
     hi = min(first.x_max, second.x_max)
     if x_lo is not None:
-        lo = max(lo, int(x_lo))
+        lo = max(lo, integer_number(x_lo, "x_lo"))
     if x_hi is not None:
-        hi = min(hi, int(x_hi))
+        hi = min(hi, integer_number(x_hi, "x_hi"))
     if hi < lo:
         raise ModelError("profiles do not overlap on the requested range")
     s1 = slice(lo - first.x_min, hi - first.x_min + 1)
@@ -546,75 +551,6 @@ def profile_max_difference(
     dl = np.max(np.abs(first.psi_l[s1] - second.psi_l[s2]))
     dr = np.max(np.abs(first.psi_r[s1] - second.psi_r[s2]))
     return float(max(dl, dr))
-
-
-# -- serialization -----------------------------------------------------------
-
-_CSV_HEADER = "x,psiL_re,psiL_im,psiR_re,psiR_im,mu"
-
-
-def _py_square(a: np.ndarray) -> np.ndarray:
-    """``v ** 2`` of each value as Python computes it, by libm's ``pow``;
-    numpy squares by ``v * v``, which differs on some values.  With
-    ``np.hypot`` for ``abs``, the CSV ``mu`` column keeps the bytes of
-    ``abs(l) ** 2 + abs(r) ** 2`` per row."""
-    return np.fromiter(map(math.pow, memoryview(a), repeat(2.0)), np.float64, len(a))
-
-
-def profile_to_csv(profile: AmplitudeProfile):
-    """Yield a profile's CSV as text blocks: the header line
-    ``x,psiL_re,psiL_im,psiR_re,psiR_im,mu``, then the rows, a few
-    hundred at a time; ``"".join(...)`` gives the whole text.
-
-    Floats are written as ``repr`` writes them (see
-    :func:`qrtw._shortest.csv_rows`), so parsing the text back
-    reproduces the amplitudes bit for bit.  Rows are formatted straight
-    from the arrays, so a caller that writes each block as it comes
-    never holds the whole CSV.
-    """
-    from ._shortest import INT_LIMIT, csv_rows  # loaded on first use: import qrtw stays lean
-
-    yield _CSV_HEADER + "\n"
-    for i in range(0, len(profile.psi_l), _BLOCK):
-        psi_l, psi_r = profile.psi_l[i : i + _BLOCK], profile.psi_r[i : i + _BLOCK]
-        mu = _py_square(np.hypot(psi_l.real, psi_l.imag)) + _py_square(np.hypot(psi_r.real, psi_r.imag))
-        columns = [psi_l.real, psi_l.imag, psi_r.real, psi_r.imag, mu]
-        x = range(profile.x_min + i, profile.x_min + i + len(psi_l))
-        if -INT_LIMIT < x[0] and x[-1] < INT_LIMIT:
-            yield from csv_rows(columns, index=np.arange(x.start, x.stop))
-        else:  # positions past the kernel's integers: str writes them
-            rows = "".join(csv_rows(columns)).splitlines()
-            yield "".join([f"{pos},{row}\n" for pos, row in zip(x, rows)])
-
-
-def profile_from_csv(text: str) -> AmplitudeProfile:
-    """Parse :func:`profile_to_csv` output back into a profile.
-
-    The ``mu`` column is redundant and ignored.  Positions must be
-    consecutive integers in ascending order.
-    """
-    rows = [line for line in text.strip().splitlines() if line]
-    if not rows or rows[0].strip() != _CSV_HEADER:
-        raise ModelError(f"profile CSV must start with header {_CSV_HEADER!r}")
-    xs: list[int] = []
-    psi_l: list[complex] = []
-    psi_r: list[complex] = []
-    for line in rows[1:]:
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ModelError(f"profile CSV row has {len(parts)} fields: {line!r}")
-        try:
-            xs.append(int(parts[0]))
-            psi_l.append(complex(float(parts[1]), float(parts[2])))
-            psi_r.append(complex(float(parts[3]), float(parts[4])))
-        except ValueError:
-            raise ModelError(f"profile CSV row has a malformed number: {line!r}") from None
-    if not xs:
-        raise ModelError("profile CSV has no data rows")
-    for prev, cur in zip(xs, xs[1:]):
-        if cur != prev + 1:
-            raise ModelError("profile CSV positions must be consecutive ascending")
-    return AmplitudeProfile(x_min=xs[0], x_max=xs[-1], psi_l=psi_l, psi_r=psi_r)
 
 
 def config_from_json(data: dict) -> TunnelingConfig:

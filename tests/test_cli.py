@@ -16,10 +16,10 @@ import pytest
 
 import qrtw
 from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
-from qrtw import cli, qgraph
+from qrtw import artifacts, cli
 from qrtw.cli import _forked_map, _write_text, main, parse_config
 from qrtw.errors import UsageError
-from qrtw.qgraph import _BLOCK
+from qrtw.artifacts import _BLOCK
 
 
 def _run(capsys, *argv):
@@ -882,14 +882,14 @@ def test_worker_is_reaped_when_the_blocks_are_closed_early(forks):
 @_TWO_PROCESS
 def test_worker_that_dies_fails_the_command_cleanly(tmp_path, capsys, forks, monkeypatch):
     parent = os.getpid()
-    render = qgraph._csv_block
+    render = artifacts._csv_block
 
     def dies_in_worker(spectrum, start):
         if os.getpid() != parent:
             os._exit(1)
         return render(spectrum, start)
 
-    monkeypatch.setattr(qgraph, "_csv_block", dies_in_worker)
+    monkeypatch.setattr(artifacts, "_csv_block", dies_in_worker)
     out_file = tmp_path / "spec.csv"
     code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
     assert code == 1
@@ -904,14 +904,14 @@ def test_worker_that_dies_leaves_only_whole_blocks_on_stdout(capsys, forks, monk
     n = 3 * _BLOCK
     header_and_block_0 = "".join(islice(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)), 2))
     parent = os.getpid()
-    render = qgraph._csv_block
+    render = artifacts._csv_block
 
     def dies_in_worker(spectrum, start):
         if os.getpid() != parent:
             os._exit(1)
         return render(spectrum, start)
 
-    monkeypatch.setattr(qgraph, "_csv_block", dies_in_worker)
+    monkeypatch.setattr(artifacts, "_csv_block", dies_in_worker)
     code, out, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}")
     assert code == 1
     assert err.startswith("qrtw: ") and err.count("\n") == 1
@@ -1110,6 +1110,6 @@ def test_package_surface_is_each_module_surface():
     assert sorted(set(ns) - {"__builtins__"}) == sorted(qrtw.__all__)
     assert len(set(qrtw.__all__)) == len(qrtw.__all__)
     assert sorted(qrtw.__all__) == _PUBLIC
-    for module in (qrtw.coin, qrtw.errors, qrtw.evolution, qrtw.qgraph, qrtw.scattering, qrtw.series):
+    for module in (qrtw.artifacts, qrtw.coin, qrtw.errors, qrtw.evolution, qrtw.qgraph, qrtw.scattering, qrtw.series):
         for name in module.__all__:
             assert getattr(module, name).__module__ == module.__name__, name

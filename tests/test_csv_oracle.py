@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from qrtw import AmplitudeProfile, build_profile, profile_to_csv, solve_closed_form, spectrum_csv_blocks, spectrum_scan
+from qrtw import AmplitudeProfile, ModelError, build_profile, profile_to_csv, solve_closed_form, spectrum_csv_blocks, spectrum_scan
 from qrtw._shortest import csv_rows
-from qrtw.scattering import _BLOCK
+from qrtw.artifacts import _BLOCK
 
 
 def _reference_profile_csv(profile) -> str:
@@ -53,10 +53,11 @@ def test_profile_csv_equals_the_reference(seed):
 
 
 @pytest.mark.parametrize("x_min", [10**17 - 3, -(10**17) - 2, 10**30])
-def test_profile_csv_equals_the_reference_past_the_int_kernel(x_min):
+def test_profile_positions_past_the_int_kernel_are_refused(x_min):
+    # every position the CSV kernel's int64 index cannot write lies past 2**53
     rng = np.random.default_rng(34)
-    profile = AmplitudeProfile(x_min, x_min + 9, _random_amplitudes(rng, 10), _random_amplitudes(rng, 10))
-    assert "".join(profile_to_csv(profile)) == _reference_profile_csv(profile)
+    with pytest.raises(ModelError, match="position limit of 2\\*\\*53"):
+        AmplitudeProfile(x_min, x_min + 9, _random_amplitudes(rng, 10), _random_amplitudes(rng, 10))
 
 
 def test_spectrum_csv_equals_the_reference():

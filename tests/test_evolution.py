@@ -187,6 +187,20 @@ def test_tol_validation():
         assert state.n == 0
 
 
+def test_max_steps_must_be_an_integer():
+    # 2.5 once raised a bare TypeError; the documented error is a ValueError
+    state = init_lattice(TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=20))
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        run_to_convergence(state, max_steps=2.5)
+    assert state.n == 0
+
+
+def test_init_lattice_window_bounds_must_be_integers():
+    cfg = TunnelingConfig(p=0.7, q=-1.3, barrier=hadamard(), m=3)
+    with pytest.raises(ModelError, match="window bound must be an integer"):
+        init_lattice(cfg, (math.nan, 20))
+
+
 def test_on_step_sees_every_state():
     cfg = TunnelingConfig(p=0.1, q=0.1, barrier=hadamard(), m=1)
     seen = []

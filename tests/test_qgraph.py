@@ -223,6 +223,21 @@ def test_edge_wave_window_and_argument_checks():
         wave.value(gp.s + 0.1)
 
 
+def test_edge_wave_terminus_must_be_an_integer():
+    # 0.5 once reached numpy's indexing IndexError
+    gp = GraphParams(1.0, 1.0, 3, 0.9)
+    with pytest.raises(ModelError, match="terminus must be an integer"):
+        edge_wave(_stationary_profile(gp), gp, 0.5, "rightward")
+
+
+def test_edge_wave_value_needs_a_finite_distance():
+    # nan once gave nan, where -1 raised ModelError
+    gp = GraphParams(1.0, 1.0, 3, 0.9)
+    wave = edge_wave(_stationary_profile(gp), gp, 0, "rightward")
+    with pytest.raises(ModelError, match="x must be finite"):
+        wave.value(math.nan)
+
+
 def test_spectrum_arrays_are_read_only_and_match_samples():
     spec = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 257)
     assert spec.k.dtype == spec.T.dtype == np.float64

@@ -410,6 +410,45 @@ def test_solve_general_refuses_a_defect_with_no_float():
         solve_general({10**400: hadamard()}, 0.0, Injection.LEFT, 0.3, 0.5)
 
 
+def test_build_profile_window_bounds_must_be_integers():
+    # nan once raised a bare ValueError from int()
+    cfg = TunnelingConfig(p=0.3, q=0.5, barrier=hadamard(), m=3)
+    with pytest.raises(ModelError, match="window bound must be an integer"):
+        build_profile(solve_closed_form(cfg), cfg, (math.nan, 9))
+
+
+def test_profile_max_difference_bounds_must_be_integers():
+    with pytest.raises(ModelError, match="x_lo must be an integer"):
+        profile_max_difference(_zero_profile(-3, 3), _zero_profile(-3, 3), x_lo=math.nan)
+
+
+def test_flux_balance_interval_must_be_integers():
+    with pytest.raises(ModelError, match="interval bound must be an integer"):
+        flux_balance(_zero_profile(-3, 6), (math.nan, 3))
+
+
+def test_profile_positions_must_be_integers():
+    # (0.5, 1.5) was once accepted as a window of float positions
+    with pytest.raises(ModelError, match="x_min must be an integer"):
+        AmplitudeProfile(0.5, 1.5, [0j] * 2, [0j] * 2)
+
+
+def test_profile_positions_stay_below_2_53():
+    limit = 2**53
+    assert AmplitudeProfile(limit - 2, limit - 1, [0j] * 2, [0j] * 2).window == (limit - 2, limit - 1)
+    assert AmplitudeProfile(1 - limit, 2 - limit, [0j] * 2, [0j] * 2).window == (1 - limit, 2 - limit)
+    for lo in (limit - 1, -limit):
+        with pytest.raises(ModelError, match="position limit"):
+            AmplitudeProfile(lo, lo + 1, [0j] * 2, [0j] * 2)
+
+
+def test_solve_general_refuses_defects_past_2_53():
+    # once solved on a window of positions no float could tell apart
+    u = hadamard()
+    with pytest.raises(ModelError, match="defect hull .* position limit"):
+        solve_general({10**17: u, 10**17 + 3: u}, 0.0, Injection.LEFT, 0.3, 0.5)
+
+
 def test_solve_general_bounds_hull_and_window(no_window_arrays):
     u = hadamard()
     with pytest.raises(ModelError, match="defect hull .* limit of 10000000"):
