@@ -87,28 +87,15 @@ def profile_from_csv(text: str) -> AmplitudeProfile:
     return AmplitudeProfile(x_min=xs[0], x_max=xs[-1], psi_l=psi_l, psi_r=psi_r)
 
 
-def _csv_block(spectrum, start: int) -> str:
-    """CSV rows ``start`` up to ``start + _BLOCK`` of a spectrum, without
-    the header: the one per-block renderer, which evaluates the block
-    (:meth:`qrtw.qgraph.Spectrum.block`) it renders."""
+def spectrum_csv_blocks(spectrum):
+    """Yield a :class:`qrtw.qgraph.Spectrum`'s ``k,T`` CSV: the header
+    line, then one string of :data:`_BLOCK` rows at a time, each block
+    evaluated (:meth:`qrtw.qgraph.Spectrum.block`) as it is rendered."""
     from ._shortest import csv_rows  # loaded on first use: import qrtw stays lean
 
-    return "".join(csv_rows(spectrum.block(start)))
-
-
-def spectrum_csv_blocks(spectrum, map_blocks=map):
-    """Yield a :class:`qrtw.qgraph.Spectrum`'s ``k,T`` CSV: the header
-    line, then :data:`_BLOCK` rows at a time, each evaluated and
-    rendered by :func:`_csv_block`.
-
-    ``map_blocks(render, starts)`` must yield ``render(start)`` for every
-    block start, in order.  The default renders them here, one after the
-    other; the CLI passes a map that renders alternate blocks in a forked
-    worker process.
-    """
     yield "k,T\n"
-    starts = range(0, len(spectrum), _BLOCK)
-    yield from map_blocks(lambda start: _csv_block(spectrum, start), starts)
+    for start in range(0, len(spectrum), _BLOCK):
+        yield "".join(csv_rows(spectrum.block(start)))
 
 
 def _json_document(head: dict, n: int, columns: dict):

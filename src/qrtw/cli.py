@@ -8,14 +8,12 @@ independent solution routes against each other and prints a pass/fail
 table).  Every artifact's text comes from :mod:`qrtw.artifacts`; this
 module picks the writer and writes its blocks to a file or stdout.
 
-On two or more usable CPUs, ``spectrum`` (CSV) and ``evolve
---dump-every N`` each fork one worker (``_fork``): the first computes
-and formats alternate blocks of the spectrum, T(k) and its CSV rows,
-for this process to write in order; the second renders and writes the
-snapshots this process sends it while it keeps stepping.  The bytes
-are the serial path's.  One CPU, no ``os.fork`` or a failed fork keep
-the serial path; the library never forks.  A worker failure exits 1
-with one line: a failed write's ``cannot write ...``, else ``the
+On two or more usable CPUs, ``evolve --dump-every N`` forks one
+worker (``_fork``) that renders and writes the snapshots this process
+sends it while it keeps stepping.  The bytes are the serial path's.
+One CPU, no ``os.fork`` or a failed fork keep the serial path; no
+other command and no library function forks.  A worker failure exits
+1 with one line: a failed write's ``cannot write ...``, else ``the
 worker process stopped early``.
 
 Exit codes: 0 success, 1 usage problems, a failed write, a failed
@@ -295,21 +293,11 @@ def parse_config(argv=None) -> argparse.Namespace:
 
 
 def _write_text(fh, text) -> None:
-    """Write ``text``, a ``str`` or a generator of ``str`` blocks, the
-    form every profile and spectrum artifact takes.
-
-    Blocks are written as they are produced, so the whole text is never
-    held.  The generator is closed however the write ends, so its
-    clean-up (see :func:`_forked_map`) runs before this returns.
-    """
-    if isinstance(text, str):
-        fh.write(text)
-        return
-    try:
-        for block in text:
-            fh.write(block)
-    finally:
-        text.close()
+    """Write ``text``, a ``str`` or an iterable of ``str`` blocks, the
+    form every profile and spectrum artifact takes.  Blocks are written
+    as they are produced, so the whole text is never held."""
+    for block in (text,) if isinstance(text, str) else text:
+        fh.write(block)
 
 
 def _printable(text: str) -> str:
@@ -375,15 +363,15 @@ _STOPPED = "the worker process stopped early"
 _Worker = namedtuple("_Worker", "pid pipe messages")
 
 
-def _fork(serve, mode: str):
+def _fork(serve):
     """Fork a worker that runs ``serve(pipe)`` and return a ``_Worker``,
     or None (no :func:`_worker_can_run`, failed pipes or fork) for the
     caller to work serially.  Frames (:func:`_send`) go one way over the
-    pipe; ``mode``, ``"rb"`` or ``"wb"``, is this process's end.  The
-    worker inherits buffered files (an artifact, ``sys.stdout``), so it
-    leaves only through ``os._exit``, which flushes none: 0 when ``serve``
-    returns or meets the pipe closed here, else 1, after sending a
-    UsageError's text back.  :func:`_join` it in a ``finally``."""
+    pipe, from this process, which holds the write end, to the worker.
+    The worker inherits buffered files (an artifact, ``sys.stdout``), so
+    it leaves only through ``os._exit``, which flushes none: 0 when
+    ``serve`` returns, else 1, after sending a UsageError's text back.
+    :func:`_join` it in a ``finally``."""
     if not _worker_can_run():
         return None
     fds = []
@@ -396,24 +384,21 @@ def _fork(serve, mode: str):
             os.close(fd)
         return None
     r, w, msg_r, msg_w = fds
-    ours, theirs = (r, w) if mode == "rb" else (w, r)
     if pid == 0:
         code = 1
         try:
-            os.close(ours)
+            os.close(w)
             os.close(msg_r)
-            with open(theirs, "wb" if mode == "rb" else "rb") as pipe:
+            with open(r, "rb") as pipe:
                 serve(pipe)
-            code = 0
-        except BrokenPipeError:  # this process closed its end: a clean end
             code = 0
         except UsageError as exc:
             os.write(msg_w, str(exc).encode())
         finally:
             os._exit(code)
-    os.close(theirs)
+    os.close(r)
     os.close(msg_w)
-    return _Worker(pid, open(ours, mode), msg_r)
+    return _Worker(pid, open(w, "wb"), msg_r)
 
 
 def _send(pipe, data: bytes) -> None:
@@ -448,32 +433,6 @@ def _join(worker: _Worker) -> None:
         message = messages.read().decode()
     if status:
         raise UsageError(message or _STOPPED)
-
-
-def _forked_map(render, items):
-    """``map(render, items)``, with a worker (:func:`_fork`) rendering
-    the odd-numbered items while this process renders the even ones and
-    yields every item in order, so it stays the only writer."""
-
-    def serve(pipe):
-        for item in items[1::2]:
-            _send(pipe, render(item).encode())
-
-    worker = _fork(serve, "rb") if len(items) > 1 else None
-    if worker is None:
-        yield from map(render, items)
-        return
-    try:
-        for i, item in enumerate(items):
-            if i % 2 == 0:
-                yield render(item)
-                continue
-            data = _recv(worker.pipe)
-            if data is None:
-                raise UsageError(_STOPPED)
-            yield data.decode()
-    finally:
-        _join(worker)
 
 
 def _cjson(z: complex) -> list[float]:
@@ -537,7 +496,7 @@ class _Snapshots:
         profile = st.profile()
         if not self.forked:
             self.forked = True
-            self.worker = _fork(lambda pipe: self._serve(pipe, profile.window), "wb")
+            self.worker = _fork(lambda pipe: self._serve(pipe, profile.window))
         if self.worker is None:
             self.write(st.n, profile)
         else:
@@ -577,10 +536,12 @@ def _run_evolve(args) -> int:
     sites, steps = check_work(args.tunneling, args.window, args.max_steps, "--max-steps, --window or --m")
     if args.dump_every is not None:
         _check_dump_rows(sites, steps, args.dump_every)
-    state = init_lattice(args.tunneling, args.window)
     snapshots = None if args.dump_every is None else _Snapshots(args.out, args.fmt, args.dump_every)
     try:
-        profile, report = run_to_convergence(state, tol=args.tol, max_steps=args.max_steps, on_step=snapshots)
+        # no name holds the state, so its arrays are freed before the final profile is rendered
+        profile, report = run_to_convergence(
+            init_lattice(args.tunneling, args.window), tol=args.tol, max_steps=args.max_steps, on_step=snapshots
+        )
     finally:
         if snapshots is not None:
             snapshots.close()
@@ -602,7 +563,7 @@ def _run_spectrum(args) -> int:
     k_min, k_max, n = args.k
     spec = spectrum_scan(args.alpha, args.s, args.m, k_min, k_max, 1001 if n is None else n)
     head = {"alpha": args.alpha, "s": args.s, "m": args.m}
-    text = spectrum_json(spec, head) if args.fmt == "json" else spectrum_csv_blocks(spec, _forked_map)
+    text = spectrum_json(spec, head) if args.fmt == "json" else spectrum_csv_blocks(spec)
     if args.out is not None:
         _write_atomic(args.out, text)
     else:

@@ -116,8 +116,10 @@ def free_coin(p: float, q: float) -> Coin:
 
     Leaves the two channels uncoupled, so walkers translate
     ballistically while picking up the phase ``p`` (left movers) or
-    ``q`` (right movers) per step.
+    ``q`` (right movers) per step.  ModelError for a phase that is
+    malformed or not finite.
     """
+    p, q = (finite_number(x, "free coin phase") for x in (p, q))
     return Coin(cmath.exp(1j * p), 0j, 0j, cmath.exp(1j * q))
 
 
@@ -126,8 +128,12 @@ def half_wave_plate(theta: float) -> Coin:
 
     The matrix is ``[[cos 2t, sin 2t], [sin 2t, -cos 2t]]`` with
     determinant exactly -1 for every angle.  ``theta = pi/8`` gives the
-    Hadamard coin and ``theta = pi/4`` the pure swap.
+    Hadamard coin and ``theta = pi/4`` the pure swap.  ModelError for an
+    angle that is malformed, not finite, or whose double overflows.
     """
+    theta = finite_number(theta, "hwp angle")
+    if not math.isfinite(2.0 * theta):
+        raise ModelError(f"hwp angle {theta!r} is too large: its double overflows")
     co = math.cos(2.0 * theta)
     si = math.sin(2.0 * theta)
     return Coin(complex(co), complex(si), complex(si), complex(-co))
@@ -228,9 +234,8 @@ def coin_from_json(data: Any) -> Coin:
     Raises
     ------
     ModelError
-        For unrecognized shapes or preset names, for numbers that are
-        malformed or not finite, and for a plate angle whose double
-        overflows.
+        For unrecognized shapes or preset names, and for the numbers
+        :func:`half_wave_plate` and :func:`free_coin` refuse.
     NotUnitary
         When explicit entries fail validation.
     """
@@ -243,15 +248,12 @@ def coin_from_json(data: Any) -> Coin:
         raise ModelError(f"unknown coin preset {data!r}")
     if isinstance(data, dict):
         if set(data) == {"hwp"}:
-            theta = finite_number(data["hwp"], "hwp angle")
-            if not math.isfinite(2.0 * theta):
-                raise ModelError(f"hwp angle {theta!r} is too large: its double overflows")
-            return half_wave_plate(theta)
+            return half_wave_plate(data["hwp"])
         if set(data) == {"free"}:
             phases = data["free"]
             if not isinstance(phases, (list, tuple)) or len(phases) != 2:
                 raise ModelError(f"free coin needs a [p, q] pair, got {phases!r}")
-            return free_coin(*(finite_number(x, "free coin phase") for x in phases))
+            return free_coin(*phases)
         try:
             entries = [complex(data[k][0], data[k][1]) for k in ("a", "b", "c", "d")]
         except (KeyError, TypeError, IndexError) as exc:

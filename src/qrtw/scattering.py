@@ -383,8 +383,7 @@ def solve_general(
     if not coins:
         raise ModelError("need at least one defect coin")
     for pos, u in coins.items():
-        if int(pos) != pos:
-            raise ModelError(f"defect position {pos!r} is not an integer")
+        integer_number(pos, "defect position")
         if not isinstance(u, Coin):
             raise ModelError(f"defect at {pos} is not a Coin")
     if not isinstance(injection, Injection):

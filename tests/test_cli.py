@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from itertools import islice
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +16,8 @@ import pytest
 
 import qrtw
 from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
-from qrtw import artifacts, cli
-from qrtw.cli import _forked_map, _write_text, main, parse_config
+from qrtw import cli
+from qrtw.cli import main, parse_config
 from qrtw.errors import UsageError
 from qrtw.artifacts import _BLOCK
 
@@ -159,6 +159,27 @@ def test_evolve_report_and_artifact(tmp_path, capsys):
     assert report["round_trip_steps"] == 6
     prof = profile_from_csv(out_file.read_text())
     assert prof.window == (-50, 53)
+
+
+def test_evolve_frees_the_state_before_the_final_profile_is_rendered(tmp_path, capsys, monkeypatch):
+    # the stepping arrays, about 150 bytes a site, would otherwise add to the render's peak memory
+    states = []
+    init_lattice, write_atomic = cli.init_lattice, cli._write_atomic
+
+    def init(*args):
+        state = init_lattice(*args)
+        states.append(weakref.ref(state))
+        return state
+
+    def write(path, text):
+        assert states[0]() is None
+        write_atomic(path, text)
+
+    monkeypatch.setattr(cli, "init_lattice", init)
+    monkeypatch.setattr(cli, "_write_atomic", write)
+    code, _, err = _run(capsys, "evolve", "--preset", "corollary3", "--out", str(tmp_path / "run.csv"))
+    assert code == 0 and err == ""
+    assert len(states) == 1
 
 
 def test_evolve_snapshots(tmp_path, capsys):
@@ -821,12 +842,15 @@ _SPEC_ARGS = ("spectrum", "--alpha", "2.5", "--s", "0.7", "--m", "5")
 @_TWO_PROCESS
 @pytest.mark.parametrize("n", [2, _BLOCK + 1, 3 * _BLOCK + 5])
 def test_two_process_csv_equals_the_library_csv(tmp_path, capsys, forks, n):
+    # two CPUs are usable, and the spectrum is still computed and written in this one process
+    expected = "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)))
     out_file = tmp_path / "spec.csv"
-    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}", "--out", str(out_file))
-    assert code == 0 and err == ""
-    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)))
-    assert len(forks) == (0 if n <= _BLOCK else 1)
-    _assert_reaped(forks)
+    code, out, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}", "--out", str(out_file))
+    assert code == 0 and out == "" and err == ""
+    assert out_file.read_text() == expected
+    if n == _BLOCK + 1:
+        assert _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}") == (0, expected, "")
+    assert forks == []
 
 
 # One CPU, a fork that fails, no os.sched_getaffinity (one CPU is then
@@ -854,72 +878,6 @@ def _fork_attempts(monkeypatch, cpus, missing):
     return calls
 
 
-@pytest.mark.pinned_bytes
-@_WITHOUT_A_WORKER
-def test_serial_path_without_a_worker(tmp_path, capsys, monkeypatch, cpus, forks_tried, missing):
-    calls = _fork_attempts(monkeypatch, cpus, missing)
-    out_file = tmp_path / "spec.csv"
-    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", "0.1:5:100000", "--out", str(out_file))
-    assert code == 0 and err == ""
-    assert len(calls) == forks_tried
-    assert out_file.read_text() == "".join(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 100000)))
-    # the digest pinned in test_multi_block_spectrum_bytes_are_pinned
-    _assert_digest(out_file.read_bytes(), "8abcb3009b1ebe7a50d410c483f9f03f5b15579814b88b634c4d59d7a184007f")
-
-
-@_TWO_PROCESS
-def test_worker_is_reaped_when_the_blocks_are_closed_early(forks):
-    spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 6 * _BLOCK)
-    blocks = spectrum_csv_blocks(spec, _forked_map)
-    assert next(blocks) == "k,T\n"
-    first, second = next(blocks), next(blocks)  # the second one came from the worker
-    assert first + second == "".join(islice(spectrum_csv_blocks(spec), 1, 3))
-    assert len(forks) == 1
-    blocks.close()
-    _assert_reaped(forks)
-
-
-@_TWO_PROCESS
-def test_worker_that_dies_fails_the_command_cleanly(tmp_path, capsys, forks, monkeypatch):
-    parent = os.getpid()
-    render = artifacts._csv_block
-
-    def dies_in_worker(spectrum, start):
-        if os.getpid() != parent:
-            os._exit(1)
-        return render(spectrum, start)
-
-    monkeypatch.setattr(artifacts, "_csv_block", dies_in_worker)
-    out_file = tmp_path / "spec.csv"
-    code, _, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{3 * _BLOCK}", "--out", str(out_file))
-    assert code == 1
-    assert err.startswith("qrtw: ") and err.count("\n") == 1
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
-    _assert_reaped(forks)
-
-
-@_TWO_PROCESS
-def test_worker_that_dies_leaves_only_whole_blocks_on_stdout(capsys, forks, monkeypatch):
-    n = 3 * _BLOCK
-    header_and_block_0 = "".join(islice(spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)), 2))
-    parent = os.getpid()
-    render = artifacts._csv_block
-
-    def dies_in_worker(spectrum, start):
-        if os.getpid() != parent:
-            os._exit(1)
-        return render(spectrum, start)
-
-    monkeypatch.setattr(artifacts, "_csv_block", dies_in_worker)
-    code, out, err = _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{n}")
-    assert code == 1
-    assert err.startswith("qrtw: ") and err.count("\n") == 1
-    assert out == header_and_block_0
-    assert len(forks) == 1
-    _assert_reaped(forks)
-
-
 def test_a_frame_cut_short_is_usage_error():
     pipe = io.BytesIO()
     cli._send(pipe, b"block")
@@ -932,20 +890,6 @@ def test_a_frame_cut_short_is_usage_error():
 
 
 @_TWO_PROCESS
-def test_failed_write_closes_the_blocks_and_reaps_the_worker(forks):
-    class FullDisk:
-        def write(self, block):
-            if block != "k,T\n":
-                raise OSError(28, "No space left on device")
-
-    blocks = spectrum_csv_blocks(spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 4 * _BLOCK), _forked_map)
-    with pytest.raises(OSError):
-        _write_text(FullDisk(), blocks)
-    assert len(forks) == 1
-    _assert_reaped(forks)
-
-
-@_TWO_PROCESS
 def test_artifacts_get_the_umask_mode(tmp_path, capsys, forks):
     for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
         directory = tmp_path / oct(umask)
@@ -955,8 +899,8 @@ def test_artifacts_get_the_umask_mode(tmp_path, capsys, forks):
         try:
             assert _run(capsys, "stationary", "--preset", "corollary3", "--out", str(st))[0] == 0
             assert _run(capsys, *_SPEC_ARGS, "--k", f"0.1:5:{2 * _BLOCK + 1}", "--out", str(spec))[0] == 0
-            assert len(forks) == 1
             assert _run(capsys, "evolve", "--preset", "corollary3", "--out", str(run), "--dump-every", "100")[0] == 0
+            assert len(forks) == 1
         finally:
             os.umask(old)
         forks.clear()

@@ -139,3 +139,26 @@ def test_coin_from_json_rejects_unknown():
         coin_from_json({"spin": 1})
     with pytest.raises(ModelError):
         coin_from_json(17)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"hwp": math.nan}, "hwp angle must be finite, got nan"),
+        ({"hwp": math.inf}, "hwp angle must be finite, got inf"),
+        ({"hwp": "x"}, "hwp angle must be a number, got 'x'"),
+        ({"hwp": 1e308}, r"hwp angle 1e\+308 is too large: its double overflows"),
+        ({"free": [0.1, math.nan]}, "free coin phase must be finite, got nan"),
+        ({"free": [-math.inf, 0.1]}, "free coin phase must be finite, got -inf"),
+        ({"free": [None, 0.1]}, "free coin phase must be a number, got None"),
+    ],
+    ids=["hwp-nan", "hwp-inf", "hwp-string", "hwp-overflow", "free-nan", "free-inf", "free-none"],
+)
+def test_coin_builders_refuse_malformed_numbers(data, message):
+    # the builders make the checks, and coin_from_json reads through them with the same message
+    [(kind, value)] = data.items()
+    build, args = (free_coin, value) if kind == "free" else (half_wave_plate, [value])
+    with pytest.raises(ModelError, match=message):
+        build(*args)
+    with pytest.raises(ModelError, match=message):
+        coin_from_json(data)

@@ -349,13 +349,16 @@ def _zero_profile(lo, hi):
         (lambda: AmplitudeProfile(1, 0, [], []), "window is empty"),
         (lambda: AmplitudeProfile(0, 2, [0j] * 3, [0j] * 2), "psi_r has 2 entries for a window of 3 sites"),
         (lambda: solve_general({}, 0.0, Injection.LEFT, 0.1, 0.2), "at least one defect coin"),
-        (lambda: solve_general({0.5: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "0.5 is not an integer"),
+        (lambda: solve_general({0.5: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got 0.5"),
+        (lambda: solve_general({math.nan: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got nan"),
+        (lambda: solve_general({math.inf: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got inf"),
+        (lambda: solve_general({None: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got None"),
         (lambda: solve_general({0: "hadamard"}, 0.0, Injection.LEFT, 0.1, 0.2), "defect at 0 is not a Coin"),
         (lambda: profile_max_difference(_zero_profile(-3, 0), _zero_profile(1, 4)), "do not overlap"),
         (lambda: profile_from_csv("x,psiL_re,psiL_im,psiR_re,psiR_im,mu\n"), "no data rows"),
     ],
-    ids=["empty-window", "wrong-length", "no-defects", "fractional-position", "not-a-coin",
-         "disjoint-windows", "header-only"],
+    ids=["empty-window", "wrong-length", "no-defects", "fractional-position", "nan-position", "inf-position",
+         "none-position", "not-a-coin", "disjoint-windows", "header-only"],
 )
 def test_malformed_library_input_is_model_error(call, message):
     with pytest.raises(ModelError, match=message):
