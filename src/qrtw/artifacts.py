@@ -1,10 +1,11 @@
 """Text of every artifact: amplitude profiles and T(k) spectra, as CSV
 and as JSON.
 
-Every writer is a generator of text blocks: a header, then the rows,
+Every writer is a generator of text pieces: a header, then the rows,
 computed one block of :data:`_BLOCK` sites or grid points at a time
-from the block's start, so a caller that writes each block as it comes
-holds one block of the data and of the text, never the whole of either.
+from the block's start and rendered a piece at a time, so a caller
+that writes each piece as it comes (``writelines``) holds one block of
+the data and one piece of the text, never the whole of either.
 ``"".join(...)`` gives the whole text.  CSV floats come from
 :mod:`qrtw._shortest` in ``repr``'s bytes, so the text parses back bit
 for bit; JSON floats come from the ``json`` encoder, laid out as
@@ -89,13 +90,14 @@ def profile_from_csv(text: str) -> AmplitudeProfile:
 
 def spectrum_csv_blocks(spectrum):
     """Yield a :class:`qrtw.qgraph.Spectrum`'s ``k,T`` CSV: the header
-    line, then one string of :data:`_BLOCK` rows at a time, each block
-    evaluated (:meth:`qrtw.qgraph.Spectrum.block`) as it is rendered."""
+    line, then the rows in the pieces :func:`qrtw._shortest.csv_rows`
+    yields, each block of :data:`_BLOCK` grid points evaluated
+    (:meth:`qrtw.qgraph.Spectrum.block`) as it is rendered."""
     from ._shortest import csv_rows  # loaded on first use: import qrtw stays lean
 
     yield "k,T\n"
     for start in range(0, len(spectrum), _BLOCK):
-        yield "".join(csv_rows(spectrum.block(start)))
+        yield from csv_rows(spectrum.block(start))
 
 
 def _json_document(head: dict, n: int, columns: dict):

@@ -6,15 +6,17 @@ amplitude profile), ``evolve`` (direct time stepping to convergence),
 (perfect-transmission wave numbers), and ``verify`` (cross-checks the
 independent solution routes against each other and prints a pass/fail
 table).  Every artifact's text comes from :mod:`qrtw.artifacts`; this
-module picks the writer and writes its blocks to a file or stdout.
+module picks the writer and hands its pieces to ``writelines`` of a
+file or stdout, which drops each piece before it asks for the next, so
+a writer's caller holds one block of data and one piece of text.
 
 On two or more usable CPUs, ``evolve --dump-every N`` forks one
-worker (``_fork``) that renders and writes the snapshots this process
-sends it while it keeps stepping.  The bytes are the serial path's.
-One CPU, no ``os.fork`` or a failed fork keep the serial path; no
-other command and no library function forks.  A worker failure exits
-1 with one line: a failed write's ``cannot write ...``, else ``the
-worker process stopped early``.
+worker (``_Snapshots._fork``) that renders and writes the snapshots
+this process sends it while it keeps stepping.  The bytes are the
+serial path's.  One CPU, no ``os.fork`` or a failed fork keep the
+serial path; no other command and no library function forks.  A
+worker failure exits 1 with one line: a failed write's ``cannot write
+...``, else ``the worker process stopped early``.
 
 Exit codes: 0 success, 1 usage problems, a failed write, a failed
 verify or a stdout closed by its reader (nothing more is written, not
@@ -31,7 +33,6 @@ import json
 import math
 import os
 import sys
-from collections import namedtuple
 
 import numpy as np
 
@@ -292,14 +293,6 @@ def parse_config(argv=None) -> argparse.Namespace:
     return args
 
 
-def _write_text(fh, text) -> None:
-    """Write ``text``, a ``str`` or an iterable of ``str`` blocks, the
-    form every profile and spectrum artifact takes.  Blocks are written
-    as they are produced, so the whole text is never held."""
-    for block in (text,) if isinstance(text, str) else text:
-        fh.write(block)
-
-
 def _printable(text: str) -> str:
     """``text`` with each non-printable character (a newline, say) as
     its escape, so an error line that quotes an argument stays one line.
@@ -330,7 +323,8 @@ def _check_writable(path: str) -> None:
 
 
 def _write_atomic(path: str, text) -> None:
-    """Write the whole artifact (see :func:`_write_text`) to a new
+    """Write ``text``, an iterable of ``str`` pieces such as every writer
+    of :mod:`qrtw.artifacts` returns, to a new
     ``.qrtw-<random>.part`` file beside ``path``, then rename it into
     place; on any failure the partial file is removed.  ``os.open``
     creates it with mode 0o666, which the kernel narrows by the umask,
@@ -339,7 +333,7 @@ def _write_atomic(path: str, text) -> None:
     fd, tmp = _create_part(path)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _write_text(fh, text)
+            fh.writelines(text)  # drops each piece before it asks for the next
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -360,79 +354,6 @@ def _worker_can_run() -> bool:
 
 
 _STOPPED = "the worker process stopped early"
-_Worker = namedtuple("_Worker", "pid pipe messages")
-
-
-def _fork(serve):
-    """Fork a worker that runs ``serve(pipe)`` and return a ``_Worker``,
-    or None (no :func:`_worker_can_run`, failed pipes or fork) for the
-    caller to work serially.  Frames (:func:`_send`) go one way over the
-    pipe, from this process, which holds the write end, to the worker.
-    The worker inherits buffered files (an artifact, ``sys.stdout``), so
-    it leaves only through ``os._exit``, which flushes none: 0 when
-    ``serve`` returns, else 1, after sending a UsageError's text back.
-    :func:`_join` it in a ``finally``."""
-    if not _worker_can_run():
-        return None
-    fds = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    r, w, msg_r, msg_w = fds
-    if pid == 0:
-        code = 1
-        try:
-            os.close(w)
-            os.close(msg_r)
-            with open(r, "rb") as pipe:
-                serve(pipe)
-            code = 0
-        except UsageError as exc:
-            os.write(msg_w, str(exc).encode())
-        finally:
-            os._exit(code)
-    os.close(r)
-    os.close(msg_w)
-    return _Worker(pid, open(w, "wb"), msg_r)
-
-
-def _send(pipe, data: bytes) -> None:
-    """Write one frame: the 8-byte length of ``data``, then ``data``."""
-    pipe.write(len(data).to_bytes(8, "little"))
-    pipe.write(data)
-    pipe.flush()
-
-
-def _recv(pipe) -> bytes | None:
-    """Read one frame, or None where the pipe ends between frames; a
-    frame cut short is a UsageError."""
-    head = pipe.read(8)
-    if not head:
-        return None
-    size = int.from_bytes(head, "little")
-    data = pipe.read(size)
-    if len(head) < 8 or len(data) < size:
-        raise UsageError(_STOPPED)
-    return data
-
-
-def _join(worker: _Worker) -> None:
-    """Close this process's end of the frame pipe, reap the worker and
-    raise its failure as a UsageError."""
-    try:
-        worker.pipe.close()
-    except BrokenPipeError:  # the worker stopped reading; its status says why
-        pass
-    _, status = os.waitpid(worker.pid, 0)
-    with open(worker.messages, "rb") as messages:
-        message = messages.read().decode()
-    if status:
-        raise UsageError(message or _STOPPED)
 
 
 def _cjson(z: complex) -> list[float]:
@@ -473,19 +394,21 @@ class _Snapshots:
     """The ``on_step`` of ``evolve --dump-every``: every ``every`` steps
     it writes the profile to ``<base>_n<step><ext>``.
 
-    At the first snapshot it tries :func:`_fork`.  A worker then gets
-    each snapshot as one frame, the step number (8 bytes) and the raw
-    bytes of the compensated ``psi_l`` and ``psi_r``, and writes it while
-    this process steps on; a full pipe (64 KiB on Linux) blocks the send.
-    A send to a failed worker raises BrokenPipeError, so :meth:`close`
-    must run in a ``finally``: the worker's failure it raises replaces
-    that, as it replaces a NoConvergence."""
+    At the first snapshot it tries :meth:`_fork`.  A worker then gets
+    each snapshot as one frame, the raw bytes of the compensated
+    ``psi_l`` then ``psi_r`` written straight from the profile, and
+    renders and writes it while this process steps on; a full pipe
+    (64 KiB on Linux) blocks the send.  The worker holds one snapshot's
+    data and one piece of its text at a time.  A send to a failed worker
+    raises BrokenPipeError, so :meth:`close` must run in a ``finally``:
+    the worker's failure it raises replaces that, as it replaces a
+    NoConvergence."""
 
     def __init__(self, out: str, fmt: str, every: int):
         self.base, self.ext = os.path.splitext(out)
         self.fmt, self.every = fmt, every
         self.forked = False  # set at the first snapshot, whatever the fork gave
-        self.worker = None
+        self.pipe = None  # the write end of a worker's frame pipe
 
     def write(self, n: int, profile: AmplitudeProfile) -> None:
         _write_atomic(f"{self.base}_n{n}{self.ext}", _render_profile(profile, self.fmt))
@@ -496,24 +419,78 @@ class _Snapshots:
         profile = st.profile()
         if not self.forked:
             self.forked = True
-            self.worker = _fork(lambda pipe: self._serve(pipe, profile.window))
-        if self.worker is None:
+            self._fork(profile.window)
+        if self.pipe is None:
             self.write(st.n, profile)
         else:
-            _send(self.worker.pipe, b"".join((st.n.to_bytes(8, "little"), profile.psi_l, profile.psi_r)))
+            self.pipe.write(profile.psi_l)
+            self.pipe.write(profile.psi_r)
+            self.pipe.flush()
+
+    def _fork(self, window: tuple[int, int]) -> None:
+        """Fork a worker that runs :meth:`_serve`, and set :attr:`pipe`;
+        without :func:`_worker_can_run`, or when the pipes or the fork
+        fail, leave it None for the serial path.  The worker inherits
+        buffered files (an artifact, ``sys.stdout``), so it leaves only
+        through ``os._exit``, which flushes none: 0 when ``_serve``
+        returns, else 1, after sending a UsageError's text back."""
+        if not _worker_can_run():
+            return
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return
+        r, w, msg_r, msg_w = fds
+        if pid == 0:
+            code = 1
+            try:
+                os.close(w)
+                os.close(msg_r)
+                with open(r, "rb") as pipe:
+                    self._serve(pipe, window)
+                code = 0
+            except UsageError as exc:
+                os.write(msg_w, str(exc).encode())
+            finally:
+                os._exit(code)
+        os.close(r)
+        os.close(msg_w)
+        self.pid, self.pipe, self.messages = pid, open(w, "wb"), msg_r
 
     def _serve(self, pipe, window: tuple[int, int]) -> None:
-        """The worker: write every snapshot the pipe brings until it closes."""
-        while (frame := _recv(pipe)) is not None:
-            psi = np.frombuffer(frame, dtype=complex, offset=8)
-            sites = len(psi) // 2
-            self.write(int.from_bytes(frame[:8], "little"), AmplitudeProfile(*window, psi[:sites], psi[sites:]))
+        """The worker: write every snapshot the pipe brings until it
+        closes.  Snapshots fall on ``st.n % every == 0`` of a run from
+        step 0, so the k-th frame is step ``k * every``'s.  A frame cut
+        short is a UsageError."""
+        size = 32 * (window[1] - window[0] + 1)
+        n = 0
+        while frame := pipe.read(size):
+            if len(frame) < size:
+                raise UsageError(_STOPPED)
+            n += self.every
+            psi_l, psi_r = np.frombuffer(frame, dtype=complex).reshape(2, -1)
+            self.write(n, AmplitudeProfile(*window, psi_l, psi_r))
 
     def close(self) -> None:
-        """End and reap the worker, if one runs; raise its failure."""
-        worker, self.worker = self.worker, None
-        if worker is not None:
-            _join(worker)
+        """Close the frame pipe and reap the worker, if one runs; raise
+        its failure as a UsageError."""
+        pipe, self.pipe = self.pipe, None
+        if pipe is None:
+            return
+        try:
+            pipe.close()
+        except BrokenPipeError:  # the worker stopped reading; its status says why
+            pass
+        _, status = os.waitpid(self.pid, 0)
+        with open(self.messages, "rb") as messages:
+            message = messages.read().decode()
+        if status:
+            raise UsageError(message or _STOPPED)
 
 
 _MAX_DUMP_ROWS = 10**8
@@ -567,7 +544,7 @@ def _run_spectrum(args) -> int:
     if args.out is not None:
         _write_atomic(args.out, text)
     else:
-        _write_text(sys.stdout, text)
+        sys.stdout.writelines(text)
     return 0
 
 
@@ -583,7 +560,7 @@ def _run_resonances(args) -> int:
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     sys.stdout.write(text)
     if args.out is not None:
-        _write_atomic(args.out, text)
+        _write_atomic(args.out, [text])
     return 0
 
 

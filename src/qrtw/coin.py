@@ -184,9 +184,16 @@ def beta_decompose(u: Coin) -> BetaDecomposition:
     return BetaDecomposition(alpha=mod_d, beta_sq=abs(u.b.conjugate() * (u.a / mod_d)) ** 2)
 
 
+_TEXT_OR_BOOL = (str, bytes, bytearray, bool)
+"""What ``float()`` or ``int()`` reads as a number but no number input may be."""
+
+
 def finite_number(value: Any, what: str) -> float:
-    """``float(value)``, or ModelError naming ``what`` if it is malformed or not finite."""
+    """``float(value)``, or ModelError naming ``what`` if it is text, a
+    bool, malformed or not finite."""
     try:
+        if isinstance(value, _TEXT_OR_BOOL):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError):
         raise ModelError(f"{what} must be a number, got {value!r}") from None
@@ -196,8 +203,11 @@ def finite_number(value: Any, what: str) -> float:
 
 
 def integer_number(value: Any, what: str) -> int:
-    """``int(value)``, or ModelError naming ``what`` if it is not an integral number."""
+    """``int(value)``, or ModelError naming ``what`` if it is text, a
+    bool or not an integral number."""
     try:
+        if isinstance(value, _TEXT_OR_BOOL):
+            raise TypeError
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         raise ModelError(f"{what} must be an integer, got {value!r}") from None

@@ -171,8 +171,9 @@ class Spectrum:
             raise ModelError(f"need at least 2 grid points, got {n}")
         if n > MAX_GRID_POINTS:
             raise ModelError(f"{n} grid points exceed the limit of {MAX_GRID_POINTS}")
-        _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
-        for name, value in (("k_min", float(self.k_min)), ("k_max", float(self.k_max)), ("n", n)):
+        chain = _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
+        checked = (chain.alpha, chain.s, chain.m, float(self.k_min), float(self.k_max), n)
+        for name, value in zip(("alpha", "s", "m", "k_min", "k_max", "n"), checked):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
@@ -214,8 +215,9 @@ class Spectrum:
         return self._whole(lambda start: self.block(start)[1])
 
 
-def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> None:
-    """Validate the chain and a wave-number bracket ``[k_min, k_max]``."""
+def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> GraphParams:
+    """Validate the chain and a wave-number bracket ``[k_min, k_max]``;
+    return the chain's checked :class:`GraphParams` at ``k_min``."""
     if not (math.isfinite(k_min) and math.isfinite(k_max)):
         raise InvalidWaveNumber(f"wave-number range must be finite, got [{k_min}, {k_max}]")
     if not (k_min < k_max):
@@ -223,8 +225,9 @@ def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -
     if k_min < K_FLOOR:
         raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
     # alpha/k peaks at k_min and the phase 2ksm at k_max
-    GraphParams(alpha, s, m, k_min)
+    chain = GraphParams(alpha, s, m, k_min)
     GraphParams(alpha, s, m, k_max)
+    return chain
 
 
 def spectrum_scan(

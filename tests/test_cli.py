@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 import qrtw
-from qrtw import profile_from_csv, spectrum_csv_blocks, spectrum_scan
+from qrtw import (
+    build_profile,
+    config_from_json,
+    profile_from_csv,
+    solve_closed_form,
+    spectrum_csv_blocks,
+    spectrum_scan,
+)
 from qrtw import cli
 from qrtw.cli import main, parse_config
 from qrtw.errors import UsageError
@@ -591,6 +598,9 @@ def test_verify_bytes_are_pinned(capsys):
         '{"p": 0, "q": 0, "barrier": "hadamard", "m": null}',
         '{"p": 0, "q": 0, "barrier": "hadamard", "m": NaN}',
         '{"p": 0, "q": 0, "barrier": "hadamard", "m": 1e400}',
+        '{"p": "0.5", "q": 0, "barrier": {"hwp": "0.3"}, "m": 3}',
+        '{"p": true, "q": 0, "barrier": {"free": [false, "1"]}, "m": 3}',
+        '{"p": 0, "q": 0, "barrier": "hadamard", "m": true}',
     ],
 )
 def test_malformed_config_value_is_model_error(tmp_path, capsys, text):
@@ -878,15 +888,41 @@ def _fork_attempts(monkeypatch, cpus, missing):
     return calls
 
 
-def test_a_frame_cut_short_is_usage_error():
-    pipe = io.BytesIO()
-    cli._send(pipe, b"block")
-    frame = pipe.getvalue()
-    assert cli._recv(io.BytesIO(frame)) == b"block"
-    assert cli._recv(io.BytesIO(b"")) is None
-    for cut in range(1, len(frame)):
-        with pytest.raises(UsageError):
-            cli._recv(io.BytesIO(frame[:cut]))
+def test_snapshot_worker_reads_whole_frames(tmp_path):
+    # a frame is the raw psi_l then psi_r of a window; the k-th frame is step k * every's
+    window = (-4, 9)
+    models = (
+        {"p": 0.3, "q": -0.2, "barrier": "hadamard", "m": 3},
+        {"p": 1.1, "q": 0.7, "barrier": {"hwp": 0.6}, "m": 5},
+    )
+    profiles = [build_profile(solve_closed_form(cfg), cfg, window) for cfg in map(config_from_json, models)]
+    frames = b"".join(p.psi_l.tobytes() + p.psi_r.tobytes() for p in profiles)
+    for cut in (1, len(frames) // 2 - 1):
+        with pytest.raises(UsageError, match=cli._STOPPED):
+            cli._Snapshots(str(tmp_path / "run.csv"), "csv", 7)._serve(io.BytesIO(frames + frames[:cut]), window)
+        assert sorted(os.listdir(tmp_path)) == ["run_n14.csv", "run_n7.csv"]
+        for name, profile in zip(("run_n7.csv", "run_n14.csv"), profiles):
+            assert (tmp_path / name).read_text() == "".join(cli._render_profile(profile, "csv"))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    cli._Snapshots(str(empty / "run.csv"), "csv", 7)._serve(io.BytesIO(b""), window)
+    assert list(empty.iterdir()) == []
+
+
+def test_write_atomic_frees_each_piece_before_the_next(tmp_path):
+    freed = []
+
+    class Piece(str):
+        def __del__(self):
+            freed.append(self[0])
+
+    def pieces():
+        for i in range(3):
+            assert freed == list("012"[:i])  # the piece written last is gone
+            yield Piece(str(i) * 100_000)
+
+    cli._write_atomic(str(tmp_path / "out.txt"), pieces())
+    assert (tmp_path / "out.txt").read_text() == "0" * 100_000 + "1" * 100_000 + "2" * 100_000
 
 
 @_TWO_PROCESS
@@ -919,7 +955,12 @@ def _evolve_into(directory, capsys, *argv):
 
 
 @_TWO_PROCESS
-@pytest.mark.parametrize("extra", [(), ("--format", "json"), ("--delta", "0.4")], ids=["csv", "json", "driven"])
+@pytest.mark.parametrize(
+    "extra",
+    # 2,201 sites make 70,432-byte frames, more than a 64 KiB pipe holds
+    [(), ("--format", "json"), ("--delta", "0.4"), ("--window=-1100:1100", "--max-steps", "6000")],
+    ids=["csv", "json", "driven", "frames-over-a-pipe"],
+)
 def test_snapshot_worker_writes_the_serial_bytes(tmp_path, capsys, monkeypatch, forks, extra):
     forked = _evolve_into(tmp_path / "forked", capsys, "--dump-every", "50", *extra)
     assert len(forks) == 1

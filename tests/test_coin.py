@@ -151,8 +151,13 @@ def test_coin_from_json_rejects_unknown():
         ({"free": [0.1, math.nan]}, "free coin phase must be finite, got nan"),
         ({"free": [-math.inf, 0.1]}, "free coin phase must be finite, got -inf"),
         ({"free": [None, 0.1]}, "free coin phase must be a number, got None"),
+        ({"hwp": "0.3"}, "hwp angle must be a number, got '0.3'"),
+        ({"hwp": b"0.3"}, "hwp angle must be a number, got b'0.3'"),
+        ({"free": [False, "1"]}, "free coin phase must be a number, got False"),
+        ({"free": [0.1, "1"]}, "free coin phase must be a number, got '1'"),
     ],
-    ids=["hwp-nan", "hwp-inf", "hwp-string", "hwp-overflow", "free-nan", "free-inf", "free-none"],
+    ids=["hwp-nan", "hwp-inf", "hwp-string", "hwp-overflow", "free-nan", "free-inf", "free-none",
+         "hwp-numeric-string", "hwp-bytes", "free-bool", "free-numeric-string"],
 )
 def test_coin_builders_refuse_malformed_numbers(data, message):
     # the builders make the checks, and coin_from_json reads through them with the same message

@@ -68,6 +68,9 @@ def test_graph_params_validation():
         GraphParams(1.0, 1.0, 0, 1.0)
     with pytest.raises(InvalidWaveNumber):
         GraphParams(1.0, 1.0, 3, -2.0)
+    # a Spectrum keeps the values GraphParams checked, not the ones it was given
+    spec = spectrum_scan(1, 1, 3.0, 0.1, 5.0, 10)
+    assert [(type(v), v) for v in (spec.alpha, spec.s, spec.m)] == [(float, 1.0), (float, 1.0), (int, 3)]
 
 
 def test_transmission_formula_against_walk_route():
@@ -307,10 +310,14 @@ def test_spectrum_csv_is_rendered_one_block_at_a_time():
 
 
 def test_spectrum_csv_is_the_joined_blocks():
+    # the rows come in the CSV kernel's pieces, not one string per block, so only whole rows are promised
     spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 2 * _BLOCK + 3)
-    blocks = list(spectrum_csv_blocks(spec))
-    assert blocks[0] == "k,T\n"
-    assert [b.count("\n") for b in blocks[1:]] == [_BLOCK, _BLOCK, 3]
+    pieces = list(spectrum_csv_blocks(spec))
+    assert pieces[0] == "k,T\n"
+    assert all(piece.endswith("\n") for piece in pieces[1:])
+    rows = "".join(pieces[1:])
+    assert rows.count("\n") == 2 * _BLOCK + 3
+    assert rows == "".join(f"{k!r},{t!r}\n" for k, t in zip(spec.k.tolist(), spec.T.tolist()))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -327,7 +334,20 @@ def test_graph_inputs_must_be_finite(bad):
         find_resonances(1.0, 1.0, 3, bad, 5.0)
 
 
-@pytest.mark.parametrize("m", [2.5, "x", None])
+@pytest.mark.parametrize("bad", ["1", b"1", True], ids=["text", "bytes", "bool"])
+def test_chain_numbers_given_as_text_or_bools_are_model_errors(bad):
+    # float() reads text and bools: spectrum_scan("1", ...) gave a Spectrum whose T raised a TypeError
+    with pytest.raises(ModelError, match="alpha must be a number"):
+        spectrum_scan(bad, 1.0, 3, 0.1, 5.0, 10)
+    with pytest.raises(ModelError, match="alpha must be a number"):
+        find_resonances(bad, 1.0, 3, 0.1, 5.0)
+    with pytest.raises(ModelError, match="edge length s must be a number"):
+        GraphParams(1.0, bad, 3, 1.0)
+    with pytest.raises(ModelError, match="alpha must be a number"):
+        vertex_coin(bad, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("m", [2.5, "x", None, True])
 def test_chain_span_must_be_an_integer(m):
     # 2.5 once truncated to 2 for the check while the scans used 2.5
     with pytest.raises(ModelError, match="integer"):
@@ -338,7 +358,7 @@ def test_chain_span_must_be_an_integer(m):
         spectrum_scan(1.0, 1.0, m, 0.1, 2.0, 4)
 
 
-@pytest.mark.parametrize("n_points", [2.5, "x", None])
+@pytest.mark.parametrize("n_points", [2.5, "x", None, True])
 def test_grid_size_must_be_an_integer(n_points):
     # 2.5 reached np.linspace, which raised its own TypeError
     with pytest.raises(ModelError, match="number of grid points must be an integer"):

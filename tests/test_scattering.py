@@ -356,9 +356,14 @@ def _zero_profile(lo, hi):
         (lambda: solve_general({0: "hadamard"}, 0.0, Injection.LEFT, 0.1, 0.2), "defect at 0 is not a Coin"),
         (lambda: profile_max_difference(_zero_profile(-3, 0), _zero_profile(1, 4)), "do not overlap"),
         (lambda: profile_from_csv("x,psiL_re,psiL_im,psiR_re,psiR_im,mu\n"), "no data rows"),
+        (lambda: TunnelingConfig(p="0.5", q=0.0, barrier=hadamard(), m=3), "p must be a number, got '0.5'"),
+        (lambda: TunnelingConfig(p=0.0, q=0.0, barrier=hadamard(), m=True), "m must be an integer, got True"),
+        (lambda: solve_general({0: hadamard()}, 0.0, Injection.LEFT, True, 0.2), "p must be a number, got True"),
+        (lambda: solve_general({True: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got True"),
     ],
     ids=["empty-window", "wrong-length", "no-defects", "fractional-position", "nan-position", "inf-position",
-         "none-position", "not-a-coin", "disjoint-windows", "header-only"],
+         "none-position", "not-a-coin", "disjoint-windows", "header-only", "text-phase", "bool-separation",
+         "bool-phase", "bool-position"],
 )
 def test_malformed_library_input_is_model_error(call, message):
     with pytest.raises(ModelError, match=message):
