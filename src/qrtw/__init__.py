@@ -4,6 +4,11 @@ form, as a linear system, as a bounce series, and by direct time
 stepping.  A delta-potential chain maps onto the same walk, giving the
 transmission spectrum and its perfect-transmission wave numbers."""
 
+import os
+
+# qrtw calls no BLAS routine, so OpenBLAS's idle pool threads sleep at once rather than spin a core
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from . import artifacts, coin, errors, evolution, qgraph, scattering, series
 from .artifacts import *
 from .coin import *

@@ -188,15 +188,22 @@ _TEXT_OR_BOOL = (str, bytes, bytearray, bool)
 """What ``float()`` or ``int()`` reads as a number but no number input may be."""
 
 
-def finite_number(value: Any, what: str) -> float:
-    """``float(value)``, or ModelError naming ``what`` if it is text, a
-    bool, malformed or not finite."""
+def real_number(value: Any, what: str, error: type[ModelError] = ModelError) -> float:
+    """``float(value)``, or ``error`` naming ``what`` if it is text, a
+    bool or malformed; a number too large for a float reads as infinite."""
     try:
         if isinstance(value, _TEXT_OR_BOOL):
             raise TypeError
-        number = float(value)
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
-        raise ModelError(f"{what} must be a number, got {value!r}") from None
+        raise error(f"{what} must be a number, got {value!r}") from None
+
+
+def finite_number(value: Any, what: str) -> float:
+    """:func:`real_number`, or ModelError naming ``what`` if it is not finite."""
+    number = real_number(value, what)
     if not math.isfinite(number):
         raise ModelError(f"{what} must be finite, got {number!r}")
     return number

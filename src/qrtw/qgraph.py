@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import _BLOCK
-from .coin import Coin, finite_number, integer_number, make_coin
+from .coin import Coin, finite_number, integer_number, make_coin, real_number
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
 from .scattering import AmplitudeProfile, TunnelingConfig
 
@@ -65,7 +65,7 @@ class GraphParams:
         object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
         object.__setattr__(self, "s", finite_number(self.s, "edge length s"))
         object.__setattr__(self, "m", integer_number(self.m, "m"))
-        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "k", real_number(self.k, "wave number", InvalidWaveNumber))
         if self.alpha < 0:
             raise ModelError(f"alpha must be nonnegative, got {self.alpha}")
         if self.s <= 0:
@@ -94,6 +94,7 @@ def vertex_coin(alpha_j: float, k: float, s: float) -> Coin:
     ``b = c = e^{iks} (2/(2 + i alpha_j/k) - 1)``.  With ``alpha_j = 0``
     this is the free diagonal coin at ``p = q = ks``.
     """
+    k = real_number(k, "wave number", InvalidWaveNumber)
     if k <= 0 or not math.isfinite(k):
         raise InvalidWaveNumber(f"wave number must be positive, got {k}")
     alpha_j = finite_number(alpha_j, "alpha")
@@ -218,11 +219,13 @@ class Spectrum:
 def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> GraphParams:
     """Validate the chain and a wave-number bracket ``[k_min, k_max]``;
     return the chain's checked :class:`GraphParams` at ``k_min``."""
-    if not (math.isfinite(k_min) and math.isfinite(k_max)):
+    lo = real_number(k_min, "k_min", InvalidWaveNumber)
+    hi = real_number(k_max, "k_max", InvalidWaveNumber)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise InvalidWaveNumber(f"wave-number range must be finite, got [{k_min}, {k_max}]")
-    if not (k_min < k_max):
+    if not (lo < hi):
         raise InvalidWaveNumber(f"empty wave-number range [{k_min}, {k_max}]")
-    if k_min < K_FLOOR:
+    if lo < K_FLOOR:
         raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
     # alpha/k peaks at k_min and the phase 2ksm at k_max
     chain = GraphParams(alpha, s, m, k_min)
@@ -249,8 +252,8 @@ def spectrum_scan(
     A non-integral ``n_points``, fewer than 2 or more than
     :data:`MAX_GRID_POINTS` is a ModelError, as is a chain
     :class:`GraphParams` refuses at either end of the bracket; a
-    bracket that is not finite, empty or below :data:`K_FLOOR` is an
-    InvalidWaveNumber.
+    bracket whose ends are text, bools or no numbers, or that is not
+    finite, empty or below :data:`K_FLOOR` is an InvalidWaveNumber.
     """
     return Spectrum(alpha, s, m, k_min, k_max, n_points)
 

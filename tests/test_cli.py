@@ -713,6 +713,60 @@ def test_import_loads_no_thread_pool():
     assert proc.stdout == "[]\n"
 
 
+_POOL_PROBE = """\
+import os, time
+time.sleep(0.3)
+ticks = 0
+for tid in os.listdir("/proc/self/task"):
+    if tid != str(os.getpid()):
+        with open(f"/proc/self/task/{tid}/stat") as fh:
+            ticks += sum(map(int, fh.read().rsplit(")", 1)[1].split()[11:13]))  # utime, stime: fields 14, 15
+print(os.environ.get("OPENBLAS_THREAD_TIMEOUT"), ticks)
+"""
+
+
+def _pool_probe(argv, stdin="", **preset):
+    """Run ``python *argv`` without OPENBLAS_THREAD_TIMEOUT (unless
+    ``preset`` gives it) and return the variable and the CPU ticks of
+    every thread but the main one, as :data:`_POOL_PROBE` prints them."""
+    src = str(Path(qrtw.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env.update(PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **preset)
+    proc = subprocess.run(
+        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    value, ticks = proc.stdout.split()
+    return value, int(ticks)
+
+
+_needs_thread_stats = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/task"), reason="reads per-thread CPU time from /proc/self/task"
+)
+
+
+@_needs_thread_stats
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["-c", "import qrtw\n" + _POOL_PROBE], ""),
+        # -i reads the probe from stdin once the CLI has exited with its usage error
+        (["-i", "-m", "qrtw.cli"], f"exec({_POOL_PROBE!r})\n"),
+    ],
+    ids=["import", "cli"],
+)
+def test_blas_pool_sleeps_instead_of_spinning(argv, stdin):
+    # OpenBLAS's pool thread busy-waited about 0.1 s (some 13 ticks) after numpy loaded; qrtw calls no BLAS routine
+    value, ticks = _pool_probe(argv, stdin)
+    assert ticks <= 2
+    assert value == "20"
+
+
+@_needs_thread_stats
+def test_preset_blas_thread_timeout_is_kept():
+    assert _pool_probe(["-c", "import qrtw\n" + _POOL_PROBE], OPENBLAS_THREAD_TIMEOUT="25")[0] == "25"
+
+
 @pytest.mark.parametrize("command", ["evolve", "verify"])
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, command, tol):

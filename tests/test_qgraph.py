@@ -347,6 +347,48 @@ def test_chain_numbers_given_as_text_or_bools_are_model_errors(bad):
         vertex_coin(bad, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GraphParams(1.0, 1.0, 3, "0.7"), "wave number must be a number, got '0.7'"),
+        (lambda: GraphParams(1.0, 1.0, 3, True), "wave number must be a number, got True"),
+        (lambda: vertex_coin(1.0, True, 1.0), "wave number must be a number, got True"),
+        (lambda: vertex_coin(1.0, "0.7", 1.0), "wave number must be a number, got '0.7'"),
+        (lambda: find_resonances(1, 1, 3, 0.1, True), "k_max must be a number, got True"),
+        (lambda: find_resonances(1, 1, 3, "0.1", 5), "k_min must be a number, got '0.1'"),
+        (lambda: spectrum_scan(1, 1, 3, "0.1", 5, 10), "k_min must be a number, got '0.1'"),
+        (lambda: spectrum_scan(1, 1, 3, None, 5, 10), "k_min must be a number, got None"),
+        (lambda: spectrum_scan(1, 1, 3, 0.1, math.inf, 10), "wave-number range must be finite, got [0.1, inf]"),
+        (lambda: find_resonances(1, 1, 3, math.nan, 5), "wave-number range must be finite, got [nan, 5]"),
+        (lambda: GraphParams(1.0, 1.0, 3, 10**400), "wave number must be positive, got inf"),
+    ],
+    ids=[
+        "graph-text", "graph-bool", "vertex-bool", "vertex-text", "resonances-bool", "resonances-text",
+        "spectrum-text", "spectrum-none", "spectrum-inf", "resonances-nan", "graph-huge-int",
+    ],
+)
+def test_wave_numbers_that_are_no_numbers_are_invalid(call, message):
+    # text and bools once passed as k (float() reads them), or raised a bare TypeError from math.isfinite
+    with pytest.raises(InvalidWaveNumber) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_wave_numbers_read_the_same_bits_from_any_real_type():
+    assert GraphParams(1, 1, 3, 2).k == 2.0
+    assert vertex_coin(1.0, np.float64(0.7), 1.0) == vertex_coin(1.0, 0.7, 1.0)
+    assert find_resonances(1, 1, 3, np.float64(0.1), 5).roots == find_resonances(1, 1, 3, 0.1, 5).roots
+    assert spectrum_scan(1, 1, 3, 1, 5, 10).T.tobytes() == spectrum_scan(1, 1, 3, 1.0, 5.0, 10).T.tobytes()
+
+
+def test_numbers_too_large_for_a_float_are_not_finite():
+    # float(10**400) raised a bare OverflowError
+    with pytest.raises(ModelError, match="alpha must be finite, got inf"):
+        GraphParams(10**400, 1.0, 3, 1.0)
+    with pytest.raises(ModelError, match="edge length s must be finite, got -inf"):
+        vertex_coin(1.0, 1.0, -(10**400))
+
+
 @pytest.mark.parametrize("m", [2.5, "x", None, True])
 def test_chain_span_must_be_an_integer(m):
     # 2.5 once truncated to 2 for the check while the scans used 2.5
