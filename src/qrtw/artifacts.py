@@ -64,6 +64,8 @@ def profile_from_csv(text: str) -> AmplitudeProfile:
     The ``mu`` column is redundant and ignored.  Positions must be
     consecutive integers in ascending order.
     """
+    if not isinstance(text, str):
+        raise ModelError(f"profile CSV must be text, got {type(text).__name__}")
     rows = [line for line in text.strip().splitlines() if line]
     if not rows or rows[0].strip() != _CSV_HEADER:
         raise ModelError(f"profile CSV must start with header {_CSV_HEADER!r}")
@@ -97,20 +99,20 @@ def spectrum_csv_blocks(spectrum):
 
     yield "k,T\n"
     for start in range(0, len(spectrum), _BLOCK):
-        yield from csv_rows(spectrum.block(start))
+        yield from csv_rows(spectrum.block(start, min(start + _BLOCK, len(spectrum))))
 
 
 def _json_document(head: dict, n: int, columns: dict):
     """Yield a JSON document: the ``head`` entries, then each named
-    column of ``n`` values.  A column is a function of a block start
-    that gives the block's values, which the C encoder formats one
-    block at a time, so neither a column's list of numbers nor the whole
+    column of ``n`` values.  A column is a function of a block's start
+    and stop that gives the block's values, which the C encoder formats
+    one block at a time, so neither a column's list of numbers nor the whole
     text is held.  A complex column is written as ``[re, im]`` pairs."""
     yield json.dumps(head, indent=2, allow_nan=False)[:-2]
     for name, column in columns.items():
         yield f',\n  "{name}": [\n    '
         for start in range(0, n, _BLOCK):
-            chunk = column(start)
+            chunk = column(start, min(start + _BLOCK, n))
             if np.iscomplexobj(chunk):
                 # The encoder writes [[a,\n b],\n [c, ...]]; indent=2 puts each bracket on its own line.
                 pairs = np.stack((chunk.real, chunk.imag), axis=1).tolist()
@@ -129,9 +131,9 @@ def profile_json(profile: AmplitudeProfile):
     ``mu = np.abs(psi_l) ** 2 + np.abs(psi_r) ** 2``."""
     pl, pr = profile.psi_l, profile.psi_r
     columns = {
-        "psi_l": lambda start: pl[start : start + _BLOCK],
-        "psi_r": lambda start: pr[start : start + _BLOCK],
-        "mu": lambda start: np.abs(pl[start : start + _BLOCK]) ** 2 + np.abs(pr[start : start + _BLOCK]) ** 2,
+        "psi_l": lambda start, stop: pl[start:stop],
+        "psi_r": lambda start, stop: pr[start:stop],
+        "mu": lambda start, stop: np.abs(pl[start:stop]) ** 2 + np.abs(pr[start:stop]) ** 2,
     }
     return _json_document({"x_min": profile.x_min, "x_max": profile.x_max}, len(pl), columns)
 
@@ -140,5 +142,5 @@ def spectrum_json(spectrum, head: dict):
     """Yield a :class:`qrtw.qgraph.Spectrum`'s JSON document: the
     ``head`` entries, then the ``k`` and ``T`` arrays, each block
     evaluated as it is written."""
-    columns = {"k": spectrum.k_block, "T": lambda start: spectrum.block(start)[1]}
+    columns = {"k": spectrum.k_block, "T": lambda start, stop: spectrum.block(start, stop)[1]}
     return _json_document(head, len(spectrum), columns)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .errors import ModelError, NotUnitary
 
@@ -66,17 +66,22 @@ def unitarity_residual(a: complex, b: complex, c: complex, d: complex) -> float:
 
     Zero for an exactly unitary matrix.  The three distinct entries are
     the two column norms and the column overlap (the 2,1 entry is the
-    conjugate of the 1,2 entry and carries no extra information).  NaN
-    when any of them is NaN, else ``inf`` when one overflows.
+    conjugate of the 1,2 entry and carries no extra information).  The
+    entries are read by :func:`real_number`; NotUnitary when the
+    residual is NaN or infinite (a NaN or infinite entry, or one too
+    large to square).
     """
+    a, b, c, d = (real_number(x, "coin entry", kind=complex) for x in (a, b, c, d))
     try:
         col1 = abs(a) ** 2 + abs(c) ** 2 - 1.0
         col2 = abs(b) ** 2 + abs(d) ** 2 - 1.0
-        cross = a.conjugate() * b + c.conjugate() * d
+        deviations = (abs(col1), abs(col2), abs(a.conjugate() * b + c.conjugate() * d))
     except OverflowError:
-        return math.inf
-    deviations = (abs(col1), abs(col2), abs(cross))
-    return math.nan if any(map(math.isnan, deviations)) else max(deviations)
+        deviations = (math.inf,)
+    residual = math.nan if any(map(math.isnan, deviations)) else max(deviations)
+    if not math.isfinite(residual):
+        raise NotUnitary(f"matrix is not unitary: residual {residual:.3e} (tol {UNITARITY_TOL:.1e})")
+    return residual
 
 
 def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
@@ -85,7 +90,7 @@ def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
     Parameters
     ----------
     a, b, c, d :
-        Matrix entries, row-major.  Anything ``complex()`` accepts.
+        Matrix entries, row-major: numbers, read by :func:`real_number`.
 
     Returns
     -------
@@ -95,6 +100,8 @@ def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
 
     Raises
     ------
+    ModelError
+        For an entry that is text, a bool or no number.
     NotUnitary
         If the :func:`unitarity_residual` is above :data:`UNITARITY_TOL`
         or not a number (a NaN or infinite entry), an entry too large to
@@ -102,13 +109,10 @@ def make_coin(a: complex, b: complex, c: complex, d: complex) -> Coin:
         round-trips with rounded decimals; exactly constructed coins sit
         far below it.
     """
-    a, b, c, d = complex(a), complex(b), complex(c), complex(d)
     residual = unitarity_residual(a, b, c, d)
-    if not residual <= UNITARITY_TOL:
-        raise NotUnitary(
-            f"matrix is not unitary: residual {residual:.3e} (tol {UNITARITY_TOL:.1e})"
-        )
-    return Coin(a, b, c, d)
+    if residual > UNITARITY_TOL:
+        raise NotUnitary(f"matrix is not unitary: residual {residual:.3e} (tol {UNITARITY_TOL:.1e})")
+    return Coin(complex(a), complex(b), complex(c), complex(d))
 
 
 def free_coin(p: float, q: float) -> Coin:
@@ -188,15 +192,16 @@ _TEXT_OR_BOOL = (str, bytes, bytearray, bool)
 """What ``float()`` or ``int()`` reads as a number but no number input may be."""
 
 
-def real_number(value: Any, what: str, error: type[ModelError] = ModelError) -> float:
-    """``float(value)``, or ``error`` naming ``what`` if it is text, a
-    bool or malformed; a number too large for a float reads as infinite."""
+def real_number(value: Any, what: str, error: type[ModelError] = ModelError, kind: type = float) -> Any:
+    """``kind(value)``, a float or with ``kind=complex`` a complex, or
+    ``error`` naming ``what`` if it is text, a bool or malformed; a
+    number too large for a float reads as infinite."""
     try:
         if isinstance(value, _TEXT_OR_BOOL):
             raise TypeError
-        return float(value)
+        return kind(value)
     except OverflowError:
-        return math.inf if value > 0 else -math.inf
+        return kind(math.inf if value > 0 else -math.inf)
     except (TypeError, ValueError):
         raise error(f"{what} must be a number, got {value!r}") from None
 
@@ -221,6 +226,19 @@ def integer_number(value: Any, what: str) -> int:
     if number != value:
         raise ModelError(f"{what} must be an integer, got {value!r}")
     return number
+
+
+def pair(value: Any, what: str, read: Callable[[Any, str], Any] | None = None, item: str = "") -> tuple[Any, Any]:
+    """The two items of ``value``, each as ``read(item_value, item)``
+    when ``read`` is given, or ModelError naming ``what`` if ``value``
+    is text or does not hold exactly two items."""
+    try:
+        if isinstance(value, _TEXT_OR_BOOL):
+            raise TypeError
+        first, second = value
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be a pair, got {value!r}") from None
+    return (first, second) if read is None else (read(first, item), read(second, item))
 
 
 def checked_phases(p: Any, q: Any, delta: Any, reach: int, what: str) -> tuple[float, float, float]:
@@ -251,7 +269,8 @@ def coin_from_json(data: Any) -> Coin:
     Raises
     ------
     ModelError
-        For unrecognized shapes or preset names, and for the numbers
+        For unrecognized shapes or preset names, a pair that is not two
+        numbers, a non-finite entry, and for the numbers
         :func:`half_wave_plate` and :func:`free_coin` refuse.
     NotUnitary
         When explicit entries fail validation.
@@ -267,17 +286,7 @@ def coin_from_json(data: Any) -> Coin:
         if set(data) == {"hwp"}:
             return half_wave_plate(data["hwp"])
         if set(data) == {"free"}:
-            phases = data["free"]
-            if not isinstance(phases, (list, tuple)) or len(phases) != 2:
-                raise ModelError(f"free coin needs a [p, q] pair, got {phases!r}")
-            return free_coin(*phases)
-        try:
-            entries = [complex(data[k][0], data[k][1]) for k in ("a", "b", "c", "d")]
-        except (KeyError, TypeError, IndexError) as exc:
-            raise ModelError(
-                f"coin JSON needs entries a, b, c, d as [re, im] pairs ({exc})"
-            ) from exc
-        if not all(map(cmath.isfinite, entries)):
-            raise ModelError(f"coin entries must be finite, got {entries!r}")
-        return make_coin(*entries)
+            return free_coin(*pair(data["free"], "free coin phases [p, q]"))
+        entries = (pair(data.get(k), f"coin entry {k} [re, im]", finite_number, "coin entries") for k in "abcd")
+        return make_coin(*(complex(*entry) for entry in entries))
     raise ModelError(f"cannot read a coin from a {type(data).__name__}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coin import integer_number
+from .coin import integer_number, pair, real_number
 from .errors import ModelError, NoConvergence
 from .scattering import AmplitudeProfile, TunnelingConfig, check_hull_window
 
@@ -149,10 +149,10 @@ def init_lattice(
     """Initial driven state: unit right-moving plane wave left of 0.
 
     ``psi_r(x) = exp(i(q+delta)x)`` for ``x < 0``, everything else
-    zero.  The default window is :func:`default_window`.
+    zero.  The default window is :func:`default_window`; another must
+    be a pair that :class:`EvolutionState` accepts.
     """
-    lo, hi = window if window is not None else default_window(cfg)
-    state = EvolutionState(cfg, lo, hi)
+    state = EvolutionState(cfg, *pair(window if window is not None else default_window(cfg), "window"))
     state.psi_r[: -state.x_min] = np.exp(1j * cfg.q_shifted * np.arange(state.x_min, 0))
     return state
 
@@ -299,19 +299,21 @@ def run_to_convergence(
 
     Raises
     ------
-    ValueError
-        Unless ``0 < tol < inf`` and ``max_steps`` is an integer ``>= 1``.
+    ModelError
+        (a ValueError) unless ``0 < tol < inf`` and ``max_steps`` is an
+        integer ``>= 1``.
     NoConvergence
         When ``max_steps`` (default :func:`default_max_steps`) is
         exhausted first, with the final residual in the message.
     """
+    tol = real_number(tol, "tol")
     if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+        raise ModelError(f"tol must be positive and finite, got {tol!r}")
     if max_steps is None:
         max_steps = default_max_steps(state.cfg)
     max_steps = integer_number(max_steps, "max_steps")
     if max_steps < 1:
-        raise ValueError(f"max_steps must be at least 1, got {max_steps!r}")
+        raise ModelError(f"max_steps must be at least 1, got {max_steps!r}")
     round_trip = 2 * state.cfg.m
     span = 3 * round_trip
     saved = np.empty_like(state._psi) if max_steps > span else None  # a shorter run fits no rate

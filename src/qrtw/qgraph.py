@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import _BLOCK
 from .coin import Coin, finite_number, integer_number, make_coin, real_number
 from .errors import EdgeOutOfWindow, InvalidWaveNumber, ModelError
 from .scattering import AmplitudeProfile, TunnelingConfig
@@ -62,18 +61,12 @@ class GraphParams:
     k: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", finite_number(self.alpha, "alpha"))
-        object.__setattr__(self, "s", finite_number(self.s, "edge length s"))
-        object.__setattr__(self, "m", integer_number(self.m, "m"))
-        object.__setattr__(self, "k", real_number(self.k, "wave number", InvalidWaveNumber))
-        if self.alpha < 0:
-            raise ModelError(f"alpha must be nonnegative, got {self.alpha}")
-        if self.s <= 0:
-            raise ModelError(f"edge length s must be positive, got {self.s}")
-        if self.m < 1:
-            raise ModelError(f"m must be a positive integer, got {self.m}")
-        if self.k <= 0 or not math.isfinite(self.k):
-            raise InvalidWaveNumber(f"wave number must be positive, got {self.k}")
+        alpha, s, k = _vertex_numbers(self.alpha, self.s, self.k)
+        m = integer_number(self.m, "m")
+        if m < 1:
+            raise ModelError(f"m must be a positive integer, got {m}")
+        for name, value in zip(("alpha", "s", "m", "k"), (alpha, s, m, k)):
+            object.__setattr__(self, name, value)
         y = self.alpha / self.k
         if not math.isfinite(y * y):
             raise ModelError(f"alpha/k = {y!r} is too large: its square overflows")
@@ -87,22 +80,30 @@ class GraphParams:
             )
 
 
+def _vertex_numbers(alpha: float, s: float, k: float) -> tuple[float, float, float]:
+    """``alpha``, ``s`` and ``k`` as floats: ModelError unless ``alpha``
+    and ``s`` are finite numbers, ``alpha >= 0`` and ``s > 0``, and
+    InvalidWaveNumber unless ``k`` is a positive finite number."""
+    alpha, s = finite_number(alpha, "alpha"), finite_number(s, "edge length s")
+    k = real_number(k, "wave number", InvalidWaveNumber)
+    if alpha < 0:
+        raise ModelError(f"alpha must be nonnegative, got {alpha}")
+    if s <= 0:
+        raise ModelError(f"edge length s must be positive, got {s}")
+    if k <= 0 or not math.isfinite(k):
+        raise InvalidWaveNumber(f"wave number must be positive, got {k}")
+    return alpha, s, k
+
+
 def vertex_coin(alpha_j: float, k: float, s: float) -> Coin:
     """Coin of a single vertex with delta strength ``alpha_j``.
 
     ``a = d = 2 e^{iks} / (2 + i alpha_j/k)`` and
     ``b = c = e^{iks} (2/(2 + i alpha_j/k) - 1)``.  With ``alpha_j = 0``
-    this is the free diagonal coin at ``p = q = ks``.
+    this is the free diagonal coin at ``p = q = ks``.  The numbers are
+    checked as :class:`GraphParams` checks them.
     """
-    k = real_number(k, "wave number", InvalidWaveNumber)
-    if k <= 0 or not math.isfinite(k):
-        raise InvalidWaveNumber(f"wave number must be positive, got {k}")
-    alpha_j = finite_number(alpha_j, "alpha")
-    s = finite_number(s, "edge length s")
-    if s <= 0:
-        raise ModelError(f"edge length s must be positive, got {s}")
-    if alpha_j < 0:
-        raise ModelError(f"alpha must be nonnegative, got {alpha_j}")
+    alpha_j, s, k = _vertex_numbers(alpha_j, s, k)
     z = 2.0 / (2.0 + 1j * (alpha_j / k))
     phase = cmath.exp(1j * k * s)
     return make_coin(phase * z, phase * (z - 1.0), phase * (z - 1.0), phase * z)
@@ -152,7 +153,7 @@ def _transmission_grid(
 class Spectrum:
     """T(k) on ``np.linspace(k_min, k_max, n)``, evaluated when read.
 
-    :meth:`block` gives the ``k`` and ``T`` of :data:`_BLOCK` grid
+    :meth:`block` gives the ``k`` and ``T`` of any range of grid
     points, so a writer that renders block by block holds one block;
     the ``k`` and ``T`` properties build the whole read-only arrays.
     ``len()`` is ``n``.  Construction checks what :func:`spectrum_scan`
@@ -172,22 +173,23 @@ class Spectrum:
             raise ModelError(f"need at least 2 grid points, got {n}")
         if n > MAX_GRID_POINTS:
             raise ModelError(f"{n} grid points exceed the limit of {MAX_GRID_POINTS}")
-        chain = _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
-        checked = (chain.alpha, chain.s, chain.m, float(self.k_min), float(self.k_max), n)
+        low, high = _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
+        checked = (low.alpha, low.s, low.m, low.k, high.k, n)
         for name, value in zip(("alpha", "s", "m", "k_min", "k_max", "n"), checked):
             object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.n
 
-    def k_block(self, start: int) -> np.ndarray:
-        """Grid points ``start`` up to ``start + _BLOCK``, by
-        ``np.linspace``'s own elementwise arithmetic (index times
-        ``(k_max - k_min) / (n - 1)``, plus ``k_min``; the last point
-        ``k_max``), so each has the bits of the whole-grid linspace."""
-        if not 0 <= start < self.n:
-            raise IndexError(f"block start {start} outside the grid of {self.n} points")
-        stop = min(start + _BLOCK, self.n)
+    def k_block(self, start: int, stop: int) -> np.ndarray:
+        """Grid points ``start`` up to ``stop``, by ``np.linspace``'s own
+        elementwise arithmetic (index times ``(k_max - k_min) / (n - 1)``,
+        plus ``k_min``; the last point ``k_max``), so each has the bits
+        of the whole-grid linspace.  ModelError unless both are
+        integers, IndexError unless ``0 <= start < stop <= n``."""
+        start, stop = integer_number(start, "block start"), integer_number(stop, "block stop")
+        if not 0 <= start < stop <= self.n:
+            raise IndexError(f"block [{start}, {stop}) outside the grid of {self.n} points")
         k = np.arange(start, stop, dtype=np.float64)
         k *= (self.k_max - self.k_min) / (self.n - 1)
         k += self.k_min
@@ -195,30 +197,31 @@ class Spectrum:
             k[-1] = self.k_max
         return k
 
-    def block(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """``k`` and ``T`` of grid points ``start`` up to ``start + _BLOCK``."""
-        k = self.k_block(start)
+    def block(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """``k`` and ``T`` of grid points ``start`` up to ``stop``."""
+        k = self.k_block(start, stop)
         return k, _transmission_grid(self.alpha, self.s, self.m, k)
-
-    def _whole(self, column) -> np.ndarray:
-        whole = np.concatenate([column(start) for start in range(0, self.n, _BLOCK)])
-        whole.flags.writeable = False
-        return whole
 
     @property
     def k(self) -> np.ndarray:
         """The whole grid, a new read-only float64 array."""
-        return self._whole(self.k_block)
+        k = self.k_block(0, self.n)
+        k.flags.writeable = False
+        return k
 
     @property
     def T(self) -> np.ndarray:
         """T(k) on the whole grid, a new read-only float64 array."""
-        return self._whole(lambda start: self.block(start)[1])
+        T = self.block(0, self.n)[1]
+        T.flags.writeable = False
+        return T
 
 
-def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -> GraphParams:
+def _check_bracket(
+    alpha: float, s: float, m: int, k_min: float, k_max: float
+) -> tuple[GraphParams, GraphParams]:
     """Validate the chain and a wave-number bracket ``[k_min, k_max]``;
-    return the chain's checked :class:`GraphParams` at ``k_min``."""
+    return the chain's checked :class:`GraphParams` at each end."""
     lo = real_number(k_min, "k_min", InvalidWaveNumber)
     hi = real_number(k_max, "k_max", InvalidWaveNumber)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -228,9 +231,7 @@ def _check_bracket(alpha: float, s: float, m: int, k_min: float, k_max: float) -
     if lo < K_FLOOR:
         raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
     # alpha/k peaks at k_min and the phase 2ksm at k_max
-    chain = GraphParams(alpha, s, m, k_min)
-    GraphParams(alpha, s, m, k_max)
-    return chain
+    return GraphParams(alpha, s, m, lo), GraphParams(alpha, s, m, hi)
 
 
 def spectrum_scan(
@@ -297,7 +298,8 @@ def find_resonances(
     More than :data:`MAX_RESONANCES` roots in the bracket is a
     ModelError, raised before any root is located.
     """
-    _check_bracket(alpha, s, m, k_min, k_max)
+    low, high = _check_bracket(alpha, s, m, k_min, k_max)
+    alpha, s, m, k_min, k_max = low.alpha, low.s, low.m, low.k, high.k
     if alpha == 0.0:
         return ResonanceSet(roots=(), all_resonant=True)
 

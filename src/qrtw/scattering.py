@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, checked_phases, coin_from_json, determinant, integer_number
+from .coin import Coin, beta_decompose, checked_phases, coin_from_json, determinant, integer_number, pair
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -182,7 +182,9 @@ class AmplitudeProfile:
         return (self.x_min, self.x_max)
 
     def at(self, x: int) -> tuple[complex, complex]:
-        """Amplitude pair ``(psi_l, psi_r)`` at position ``x``."""
+        """Amplitude pair ``(psi_l, psi_r)`` at position ``x``; ModelError
+        unless ``x`` is an integer, IndexError outside the window."""
+        x = integer_number(x, "position")
         if not self.x_min <= x <= self.x_max:
             raise IndexError(f"position {x} outside window [{self.x_min}, {self.x_max}]")
         i = x - self.x_min
@@ -253,9 +255,9 @@ def check_window_sites(lo: int, hi: int, what: str = "window") -> None:
 
 def check_hull_window(window: tuple[int, int], x_lo: int, x_hi: int) -> tuple[int, int]:
     """``window`` as two ints; WindowTooSmall if it does not contain
-    ``[x_lo-1, x_hi+1]`` and ModelError if a bound is not an integer or
-    :func:`check_window_sites` refuses it."""
-    lo, hi = integer_number(window[0], "window bound"), integer_number(window[1], "window bound")
+    ``[x_lo-1, x_hi+1]`` and ModelError if it is not a pair of integers
+    or :func:`check_window_sites` refuses it."""
+    lo, hi = pair(window, "window", integer_number, "window bound")
     if lo > x_lo - 1 or hi < x_hi + 1:
         raise WindowTooSmall(
             f"window [{lo}, {hi}] must contain [{x_lo - 1}, {x_hi + 1}]"
@@ -380,7 +382,7 @@ def solve_general(
         When a bounce denominator ``|1 - c*refl'|`` falls below 1e-12,
         which is how a degenerate resonance shows up here.
     """
-    if not coins:
+    if not isinstance(coins, Mapping) or not coins:
         raise ModelError("need at least one defect coin")
     for pos, u in coins.items():
         integer_number(pos, "defect position")
@@ -482,10 +484,12 @@ def flux_balance(
 
     Raises
     ------
+    ModelError
+        If ``interval`` is not a pair of integers, or is empty.
     MarginViolation
         If the one-site margins fall outside the profile window.
     """
-    x_lo, x_hi = integer_number(interval[0], "interval bound"), integer_number(interval[1], "interval bound")
+    x_lo, x_hi = pair(interval, "interval", integer_number, "interval bound")
     if x_hi < x_lo:
         raise ModelError(f"interval [{x_lo}, {x_hi}] is empty")
     if x_lo - 1 < profile.x_min or x_hi + 1 > profile.x_max:

@@ -20,7 +20,7 @@ import cmath
 from dataclasses import dataclass
 
 from .coin import integer_number
-from .errors import DivergentSeries
+from .errors import DivergentSeries, ModelError
 from .scattering import TunnelingConfig
 
 __all__ = [
@@ -68,16 +68,14 @@ def t_series(cfg: TunnelingConfig, max_bounces: int) -> SeriesResult:
     Raises
     ------
     ModelError
-        When ``max_bounces`` is not an integral number.
-    ValueError
-        When it is negative.
+        When ``max_bounces`` is not an integral number, or is negative.
     DivergentSeries
         When ``|bc| >= 1`` (up to 1e-14), where the expansion is
         meaningless.
     """
     max_bounces = integer_number(max_bounces, "max_bounces")
     if max_bounces < 0:
-        raise ValueError("max_bounces must be nonnegative")
+        raise ModelError("max_bounces must be nonnegative")
     k_max = min(max_bounces, MAX_TERMS)
     lead, ratio = _lead_and_ratio(cfg)
     total = 0j

@@ -639,6 +639,13 @@ def test_model_numbers_too_large_for_the_phase_arithmetic_exit_2(capsys, argv):
 
 
 _NAN_ENTRY = '{"a": [NaN, 0], "b": [0, 0], "c": [0, 0], "d": [1, 0]}'
+
+
+def _entries(a: str) -> str:
+    """A coin's JSON entries with ``a`` as entry a, the rest the identity's."""
+    return '{"a": ' + a + ', "b": [0, 0], "c": [0, 0], "d": [1, 0]}'
+
+
 _LONG_INT = "1" + "0" * 5000  # past Python's 4,300-digit limit for int()
 _DEEP = "[" * 30000 + "]" * 30000  # past the recursion limit
 
@@ -662,10 +669,15 @@ _DEEP = "[" * 30000 + "]" * 30000  # past the recursion limit
         (("stationary", "--config", "CONFIG"), _DEEP, 1, "config file is not valid JSON"),
         (("stationary", "--barrier", _DEEP, "--m", "2"), None, 1, "--barrier cannot be read"),
         (("resonances", "--preset", "fig2", "a\nb"), None, 1, "unrecognized arguments: a\\nb\n"),
+        (("stationary", "--config", "CONFIG"), '{"p": 0, "q": 0, "m": 3, "barrier": ' + _entries("[true, 0]") + "}",
+         2, "coin entries must be a number, got True"),
+        (("stationary", "--barrier", _entries("[1, 0, 5]"), "--m", "2"), None, 2, "coin entry a [re, im] must be a pair"),
+        (("stationary", "--barrier", _entries(f"[{_HUGE_M}, 0]"), "--m", "2"), None, 2, "coin entries must be finite"),
     ],
     ids=["window-bound", "k-arity", "k-number", "config-missing", "config-json", "no-command",
          "config-list", "config-no-m", "nan-entry", "config-long-int", "config-not-utf8", "barrier-long-int",
-         "config-deep", "barrier-deep", "echoed-newline"],
+         "config-deep", "barrier-deep", "echoed-newline", "config-bool-entry", "barrier-three-items",
+         "barrier-huge-entry"],
 )
 def test_each_input_error_exits_with_its_code(tmp_path, capsys, argv, config, code, message):
     if config is not None:

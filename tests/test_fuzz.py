@@ -1,7 +1,8 @@
-"""A seeded argv fuzzer over the five commands.
+"""Two seeded fuzzers: one over the five commands' argv, one over the
+library's public callables.
 
-Each case is a random argv from a small grammar of flags and hostile
-values (NaN, infinities, 1e308, 30-digit numbers, malformed and
+The argv fuzzer draws each case from a small grammar of flags and
+hostile values (NaN, infinities, 1e308, 30-digit numbers, malformed and
 non-unitary coins, bad windows and k ranges, odd ``--out`` paths, bad
 ``--config`` files), run through ``main`` in this process with the
 forked workers off and an alarm on each case.  Whatever the input:
@@ -16,15 +17,31 @@ forked workers off and an alarm on each case.  Whatever the input:
 The seed and the case count are fixed, and the models are kept small
 (m up to 20, ``evolve --max-steps`` up to 2,000, short spectrum grids),
 so the cases cost a few seconds in all.
+
+The library fuzzer calls every public function, validating constructor
+and method with each value parameter (a number, position, pair, text
+or mapping) either in range or drawn from :data:`HOSTILE`, and with the
+object parameters (config, profile, coin, chain, state, spectrum, and
+a profile's amplitude arrays) held at valid objects.  Each call returns
+a finite result or raises a ``QrtwError``, or an ``IndexError`` for a
+position outside a profile's window or a block outside a spectrum's
+grid.
 """
 
+import cmath
+import dataclasses
+import enum
 import json
 import math
 import random
 import signal
+import types
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
+import qrtw
 from qrtw import cli
 
 COMMANDS = ("stationary", "evolve", "spectrum", "resonances", "verify")
@@ -270,3 +287,148 @@ def test_fuzzed_argv_keeps_the_exit_contract(command, tmp_path, capsys, monkeypa
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not failures, f"{len(failures)} failing cases, the first: {failures[:3]}"
+
+
+HOSTILE = (
+    math.nan, math.inf, -math.inf, 1e308, 10**400, 1.5, "3", b"3", None, True, (1,), (1, 2, 3), Decimal("1"),
+)
+LIBRARY_CASES = 3000
+LIBRARY_SEED = 28
+HOSTILE_CHANCE = 0.15
+"""The chance that one value parameter is drawn from :data:`HOSTILE`."""
+
+
+class _V:
+    """A value parameter: ``valid``, or a value drawn from :data:`HOSTILE`.
+    A ``valid`` tuple, list or dict may hold more value parameters."""
+
+    def __init__(self, valid):
+        self.valid = valid
+
+
+def _draw(rng, spec):
+    if isinstance(spec, _V):
+        return rng.choice(HOSTILE) if rng.random() < HOSTILE_CHANCE else _draw(rng, spec.valid)
+    if isinstance(spec, (tuple, list)):
+        return type(spec)(_draw(rng, item) for item in spec)
+    if isinstance(spec, dict):
+        return {_draw(rng, key): _draw(rng, value) for key, value in spec.items()}
+    return spec() if isinstance(spec, types.FunctionType) else spec  # a function makes a fresh object
+
+
+# Records that store what they are given, the exception classes and the Injection enum
+# build nothing from their arguments that needs checking.
+_UNCHECKED = {
+    "BetaDecomposition", "Coin", "ConvergenceReport", "EdgeWave", "Injection", "ResonanceSet", "SeriesResult",
+    "StationarySolution",
+} | {name for name in qrtw.__all__ if isinstance(getattr(qrtw, name), type) and issubclass(getattr(qrtw, name), Exception)}
+
+
+def _library_calls():
+    """(callable, argument specs) for every public callable but the :data:`_UNCHECKED` ones."""
+    cfg = qrtw.TunnelingConfig(p=0.7, q=-1.3, barrier=qrtw.hadamard(), m=3)
+    sol = qrtw.solve_closed_form(cfg)
+    prof = qrtw.build_profile(sol, cfg, (-5, 8))
+    gp = qrtw.GraphParams(1.0, 1.0, 3, 0.7)
+    spec = qrtw.spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 40)
+    u = qrtw.hadamard()
+
+    def state():
+        return qrtw.init_lattice(cfg, (-12, 15))
+
+    def pair(lo, hi):
+        return _V((_V(lo), _V(hi)))
+
+    def entry(re):
+        return _V([_V(re), _V(0)])
+
+    model = {"p": _V(0.7), "q": _V(-1.3), "barrier": _V("hadamard"), "m": _V(3), "delta": _V(0.1)}
+    chain = (_V(1.0), _V(1.0), _V(3), _V(0.1), _V(5.0))
+    return [
+        (qrtw.profile_from_csv, _V("".join(qrtw.profile_to_csv(prof)))),
+        (qrtw.profile_to_csv, prof),
+        (qrtw.spectrum_csv_blocks, spec),
+        (qrtw.beta_decompose, u),
+        (qrtw.coin_from_json, _V({"hwp": _V(0.3)})),
+        (qrtw.coin_from_json, _V({"free": _V([_V(0.2), _V(-0.4)])})),
+        (qrtw.coin_from_json, _V({"a": entry(1), "b": entry(0), "c": entry(0), "d": entry(1)})),
+        (qrtw.determinant, u),
+        (qrtw.free_coin, _V(0.2), _V(-0.4)),
+        (qrtw.hadamard,),
+        (qrtw.half_wave_plate, _V(0.3)),
+        (qrtw.identity_coin,),
+        (qrtw.make_coin, _V(1), _V(0), _V(0), _V(1j)),
+        (qrtw.unitarity_residual, _V(1), _V(0), _V(0), _V(1j)),
+        (qrtw.EvolutionState, cfg, _V(-12), _V(15)),
+        (qrtw.init_lattice, cfg, pair(-12, 15)),
+        (qrtw.norm_check, state),
+        (qrtw.run_to_convergence, state, _V(1e-8), _V(2000)),
+        (qrtw.step, state),
+        (lambda s: s.profile(), state),
+        (qrtw.GraphParams, _V(1.0), _V(1.0), _V(3), _V(0.7)),
+        (qrtw.Spectrum, *chain, _V(40)),
+        (qrtw.edge_wave, prof, gp, _V(2), _V("rightward")),
+        (qrtw.find_resonances, *chain),
+        (qrtw.spectrum_scan, *chain, _V(40), _V(1)),
+        (qrtw.to_tunneling_config, gp),
+        (qrtw.transmission_at_k, gp),
+        (qrtw.vertex_coin, _V(1.0), _V(0.7), _V(1.0)),
+        (spec.block, _V(8), _V(30)),
+        (spec.k_block, _V(8), _V(30)),
+        (qrtw.edge_wave(prof, gp, 2, "rightward").value, _V(0.5)),
+        (qrtw.AmplitudeProfile, _V(0), _V(2), np.ones(3), np.zeros(3)),
+        (prof.at, _V(3)),
+        (qrtw.TunnelingConfig, _V(0.7), _V(-1.3), u, _V(3), _V(0.1)),
+        (qrtw.build_profile, sol, cfg, pair(-5, 8)),
+        (qrtw.config_from_json, _V(model)),
+        (qrtw.flux_balance, prof, pair(-1, 4)),
+        (qrtw.profile_max_difference, prof, prof, _V(-3), _V(6)),
+        (qrtw.resonance_residual, cfg),
+        (qrtw.solve_closed_form, cfg),
+        (qrtw.solve_general, _V({_V(0): u, _V(3): u}), _V(0.1), _V(qrtw.Injection.RIGHT), _V(0.7), _V(-1.3), pair(-5, 8)),
+        (qrtw.t_magnitude_via_beta, cfg),
+        (qrtw.t_series, cfg, _V(20)),
+        (qrtw.t_series_limit, cfg),
+        (qrtw.transmitted_tail_phase, cfg),
+    ]
+
+
+def _finite(value) -> bool:
+    """Whether every number ``value`` holds is finite; a generator is
+    read to its end."""
+    if value is None or isinstance(value, (bool, int, str, enum.Enum)):
+        return True
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return bool(np.isfinite(value).all())
+    if isinstance(value, (tuple, list, types.GeneratorType)):
+        return all(map(_finite, value))
+    if dataclasses.is_dataclass(value):
+        return all(_finite(getattr(value, f.name)) for f in dataclasses.fields(value))
+    raise TypeError(f"no finiteness rule for a {type(value).__name__}")
+
+
+def test_library_calls_cover_the_public_names():
+    called = {getattr(fn, "__name__", "") for fn, *_ in _library_calls()}
+    assert sorted(set(qrtw.__all__) - _UNCHECKED - called) == []
+
+
+def test_fuzzed_library_calls_return_finite_results_or_documented_errors():
+    rng = random.Random(LIBRARY_SEED)
+    calls = _library_calls()
+    failures = []
+    for _ in range(LIBRARY_CASES):
+        fn, *specs = rng.choice(calls)
+        args = [_draw(rng, spec) for spec in specs]
+        try:
+            if not _finite(fn(*args)):
+                failures.append((fn, args, "a result that is not finite"))
+        except qrtw.QrtwError:
+            pass
+        except IndexError:
+            if getattr(fn, "__name__", "") not in ("at", "block", "k_block"):
+                failures.append((fn, args, "IndexError"))
+        except Exception as exc:
+            failures.append((fn, args, f"{type(exc).__name__}: {exc}"[:200]))
+    assert not failures, f"{len(failures)} failing calls, the first: {failures[:3]}"

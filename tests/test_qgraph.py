@@ -24,7 +24,8 @@ from qrtw import (
     transmission_at_k,
     vertex_coin,
 )
-from qrtw.qgraph import _BLOCK, K_FLOOR, _loop_phase, _transmission_grid
+from qrtw.artifacts import _BLOCK
+from qrtw.qgraph import K_FLOOR, _loop_phase, _transmission_grid
 
 # located once by the brute bisection below and frozen; alpha=1, s=1, m=3
 FIRST_ROOT = 0.7248753428962931
@@ -288,11 +289,11 @@ def _brackets():
 @pytest.mark.parametrize("k_min, k_max, n", _brackets())
 def test_blocks_are_the_linspace_bit_for_bit(k_min, k_max, n):
     spec = Spectrum(1.0, 1.0, 3, k_min, k_max, n)
-    blocks = [spec.k_block(start) for start in range(0, n, _BLOCK)]
+    blocks = [spec.k_block(start, min(start + _BLOCK, n)) for start in range(0, n, _BLOCK)]
     assert np.concatenate(blocks).tobytes() == np.linspace(k_min, k_max, n).tobytes()
-    assert np.array_equal(spec.block(0)[0], blocks[0])
+    assert np.array_equal(spec.block(0, min(_BLOCK, n))[0], blocks[0])
     with pytest.raises(IndexError):
-        spec.k_block(n)
+        spec.k_block(n, n + 1)
 
 
 def test_spectrum_csv_is_rendered_one_block_at_a_time():
