@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+import numpy as np
+
 from .errors import ModelError, NotUnitary
 
 __all__ = [
@@ -212,6 +214,20 @@ def finite_number(value: Any, what: str) -> float:
     if not math.isfinite(number):
         raise ModelError(f"{what} must be finite, got {number!r}")
     return number
+
+
+def finite_array(value: Any, what: str) -> np.ndarray:
+    """A new complex array of ``value``'s entries, or ModelError naming
+    ``what`` unless they are integers, floats or complex numbers (not
+    text, bools or objects), all finite.  Finite is read off the sum of
+    ``value * 0``, NaN exactly when an entry is NaN or infinite: unlike
+    ``np.isfinite``, whose code numpy's import leaves unloaded, those
+    ufuncs add nothing to a process's resident pages."""
+    arr = np.asarray(value)
+    with np.errstate(invalid="ignore"):  # inf * 0 is the NaN looked for
+        if arr.dtype.kind not in "iufc" or cmath.isnan(np.sum(arr * 0)):
+            raise ModelError(f"{what} must hold finite numbers")
+    return arr.astype(complex)
 
 
 def integer_number(value: Any, what: str) -> int:

@@ -114,19 +114,13 @@ class EvolutionState:
     injection_phase: complex = field(default=1.0 + 0j, init=False)
     coins: np.ndarray = field(init=False, repr=False)
     _psi: np.ndarray = field(init=False, repr=False)
-    _front: int = field(default=0, init=False, repr=False)
-    _scratch: np.ndarray = field(init=False, repr=False)
-    _moduli: np.ndarray = field(init=False, repr=False)
-    _drive: complex = field(init=False, repr=False)
-    _undo: complex = field(init=False, repr=False)
-    _edge: complex = field(init=False, repr=False)
-    _operands: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x_min, self.x_max = check_hull_window((self.x_min, self.x_max), -1, self.cfg.m + 1)
         self.coins = _site_coins(self.cfg, self.x_min, self.x_max)
         sites = self.x_max - self.x_min + 1
         self._psi = np.zeros((2, 2, sites), dtype=complex)
+        self._front = 0
         self._scratch = np.zeros(sites, dtype=complex)
         self._moduli = np.zeros(sites)
         self._drive = cmath.exp(1j * self.cfg.delta)
@@ -235,22 +229,16 @@ def _witnessed(state: EvolutionState, site_l: int, site_r: int, tol: float) -> b
     """Whether the last step's change at ``site_l`` of ``psi_l`` or at
     ``site_r`` of ``psi_r`` alone proves the residual of :func:`_full_pass`
     at least ``tol``.  Each change is taken with Python scalars, so it
-    must pass ``tol`` by :data:`_SLACK` of itself, with a drive also of
-    ``|psi|`` (the ``_undo`` product's rounding), and by :data:`_TINY`.
-    Sites off the interior prove nothing."""
+    must pass ``tol`` by :data:`_SLACK` of itself and of ``|psi|`` (the
+    ``_undo`` product's rounding), and by :data:`_TINY`.  Sites off the
+    interior prove nothing."""
     now_l, now_r, before_l, before_r = state._operands[state._front][:4]
     last = len(now_l) - 3
-    drive = state.cfg.delta != 0.0
     for now, before, site in ((now_l, before_l, site_l), (now_r, before_r, site_r)):
         if 2 <= site <= last:
             z = now.item(site)
-            if drive:
-                change = abs(state._undo * z - before.item(site))
-                slack = _SLACK * (change + abs(z))
-            else:
-                change = abs(z - before.item(site))
-                slack = _SLACK * change
-            if change > tol + slack + _TINY:
+            change = abs(state._undo * z - before.item(site))
+            if change > tol + _SLACK * (change + abs(z)) + _TINY:
                 return True
     return False
 

@@ -155,9 +155,8 @@ class Spectrum:
 
     :meth:`block` gives the ``k`` and ``T`` of any range of grid
     points, so a writer that renders block by block holds one block;
-    the ``k`` and ``T`` properties build the whole read-only arrays.
-    ``len()`` is ``n``.  Construction checks what :func:`spectrum_scan`
-    documents.
+    ``block(0, len(spectrum))`` is the whole grid.  ``len()`` is ``n``.
+    Construction checks what :func:`spectrum_scan` documents.
     """
 
     alpha: float
@@ -173,8 +172,7 @@ class Spectrum:
             raise ModelError(f"need at least 2 grid points, got {n}")
         if n > MAX_GRID_POINTS:
             raise ModelError(f"{n} grid points exceed the limit of {MAX_GRID_POINTS}")
-        low, high = _check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max)
-        checked = (low.alpha, low.s, low.m, low.k, high.k, n)
+        checked = (*_check_bracket(self.alpha, self.s, self.m, self.k_min, self.k_max), n)
         for name, value in zip(("alpha", "s", "m", "k_min", "k_max", "n"), checked):
             object.__setattr__(self, name, value)
 
@@ -202,26 +200,13 @@ class Spectrum:
         k = self.k_block(start, stop)
         return k, _transmission_grid(self.alpha, self.s, self.m, k)
 
-    @property
-    def k(self) -> np.ndarray:
-        """The whole grid, a new read-only float64 array."""
-        k = self.k_block(0, self.n)
-        k.flags.writeable = False
-        return k
-
-    @property
-    def T(self) -> np.ndarray:
-        """T(k) on the whole grid, a new read-only float64 array."""
-        T = self.block(0, self.n)[1]
-        T.flags.writeable = False
-        return T
-
 
 def _check_bracket(
     alpha: float, s: float, m: int, k_min: float, k_max: float
-) -> tuple[GraphParams, GraphParams]:
-    """Validate the chain and a wave-number bracket ``[k_min, k_max]``;
-    return the chain's checked :class:`GraphParams` at each end."""
+) -> tuple[float, float, int, float, float]:
+    """Validate the chain and a wave-number bracket ``[k_min, k_max]``
+    by the chain's :class:`GraphParams` at each end; return the checked
+    ``(alpha, s, m, k_min, k_max)``."""
     lo = real_number(k_min, "k_min", InvalidWaveNumber)
     hi = real_number(k_max, "k_max", InvalidWaveNumber)
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -231,7 +216,8 @@ def _check_bracket(
     if lo < K_FLOOR:
         raise InvalidWaveNumber(f"k_min must be at least {K_FLOOR}, got {k_min}")
     # alpha/k peaks at k_min and the phase 2ksm at k_max
-    return GraphParams(alpha, s, m, lo), GraphParams(alpha, s, m, hi)
+    low, high = GraphParams(alpha, s, m, lo), GraphParams(alpha, s, m, hi)
+    return low.alpha, low.s, low.m, low.k, high.k
 
 
 def spectrum_scan(
@@ -298,8 +284,7 @@ def find_resonances(
     More than :data:`MAX_RESONANCES` roots in the bracket is a
     ModelError, raised before any root is located.
     """
-    low, high = _check_bracket(alpha, s, m, k_min, k_max)
-    alpha, s, m, k_min, k_max = low.alpha, low.s, low.m, low.k, high.k
+    alpha, s, m, k_min, k_max = _check_bracket(alpha, s, m, k_min, k_max)
     if alpha == 0.0:
         return ResonanceSet(roots=(), all_resonant=True)
 

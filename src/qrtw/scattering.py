@@ -32,7 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .coin import Coin, beta_decompose, checked_phases, coin_from_json, determinant, integer_number, pair
+from .coin import Coin, beta_decompose, checked_phases, coin_from_json, determinant, finite_array, integer_number, pair
 from .errors import (
     DegenerateResonance,
     FullReflector,
@@ -132,17 +132,18 @@ class StationarySolution:
 
     ``r`` and ``t`` are the reflected and transmitted amplitudes,
     ``r_tilde`` and ``t_tilde`` the interior amplitudes at the entry
-    and exit barrier sites, ``T = |t|**2`` and ``R = |r|**2`` the
-    probabilities.
+    and exit barrier sites; the probabilities ``T = |t|**2`` and
+    ``R = |r|**2`` are computed from them when read.
     """
 
     r: complex
     t: complex
     r_tilde: complex
     t_tilde: complex
-    T: float
-    R: float
     injection: Injection
+
+    T = property(lambda self: abs(self.t) ** 2)
+    R = property(lambda self: abs(self.r) ** 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,8 +152,8 @@ class AmplitudeProfile:
 
     ``psi_l[i]`` and ``psi_r[i]`` hold the left- and right-channel
     amplitude at position ``x_min + i``; the positions are integers
-    below 2**53 in magnitude.  The arrays are copied on construction and
-    frozen read-only.
+    below 2**53 in magnitude, the amplitudes finite numbers.  The arrays
+    are copied on construction and frozen read-only.
     """
 
     x_min: int
@@ -168,7 +169,7 @@ class AmplitudeProfile:
         _check_positions(self.x_min, self.x_max, "window")
         n = self.x_max - self.x_min + 1
         for name in ("psi_l", "psi_r"):
-            arr = np.array(getattr(self, name), dtype=complex)
+            arr = finite_array(getattr(self, name), name)
             if arr.shape != (n,):
                 raise ModelError(
                     f"{name} has {arr.shape[0] if arr.ndim == 1 else arr.shape} "
@@ -230,8 +231,6 @@ def solve_closed_form(cfg: TunnelingConfig) -> StationarySolution:
         t=t,
         r_tilde=r_tilde,
         t_tilde=t_tilde,
-        T=abs(t) ** 2,
-        R=abs(r) ** 2,
         injection=Injection.LEFT,
     )
 
@@ -439,8 +438,6 @@ def solve_general(
         t=t,
         r_tilde=fwd_l[0],
         t_tilde=fwd_r[-1],
-        T=abs(t) ** 2,
-        R=abs(r) ** 2,
         injection=injection,
     )
     return solution, AmplitudeProfile(x_min=lo, x_max=hi, psi_l=psi_l, psi_r=psi_r)

@@ -178,7 +178,7 @@ def test_criterion_7_spectrum_peaks_at_resonances():
         start = time.perf_counter()
         spec = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 4096)
         roots = find_resonances(1.0, 1.0, 3, 0.1, 5.0)
-        k, T = spec.k.tolist(), spec.T.tolist()
+        k, T = (a.tolist() for a in spec.block(0, len(spec)))
         spacing = k[1] - k[0]
 
         peaks = [

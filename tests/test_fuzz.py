@@ -20,9 +20,9 @@ so the cases cost a few seconds in all.
 
 The library fuzzer calls every public function, validating constructor
 and method with each value parameter (a number, position, pair, text
-or mapping) either in range or drawn from :data:`HOSTILE`, and with the
-object parameters (config, profile, coin, chain, state, spectrum, and
-a profile's amplitude arrays) held at valid objects.  Each call returns
+or mapping, or a profile's amplitude array) either in range or drawn
+from :data:`HOSTILE`, and with the object parameters (config, profile,
+coin, chain, state, spectrum) held at valid objects.  Each call returns
 a finite result or raises a ``QrtwError``, or an ``IndexError`` for a
 position outside a profile's window or a block outside a spectrum's
 grid.
@@ -376,7 +376,7 @@ def _library_calls():
         (spec.block, _V(8), _V(30)),
         (spec.k_block, _V(8), _V(30)),
         (qrtw.edge_wave(prof, gp, 2, "rightward").value, _V(0.5)),
-        (qrtw.AmplitudeProfile, _V(0), _V(2), np.ones(3), np.zeros(3)),
+        (qrtw.AmplitudeProfile, _V(0), _V(2), _V(np.ones(3)), _V(np.zeros(3))),
         (prof.at, _V(3)),
         (qrtw.TunnelingConfig, _V(0.7), _V(-1.3), u, _V(3), _V(0.1)),
         (qrtw.build_profile, sol, cfg, pair(-5, 8)),

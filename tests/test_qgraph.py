@@ -170,11 +170,11 @@ def test_wave_number_floor():
 def test_spectrum_scan_grid_and_threads():
     serial = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 512)
     assert len(serial) == 512
-    ks = serial.k.tolist()
+    ks = serial.k_block(0, len(serial)).tolist()
     assert ks == sorted(ks)
     assert ks[0] == pytest.approx(0.1) and ks[-1] == pytest.approx(5.0)
     threaded = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 512, threads=4)
-    assert np.array_equal(serial.k, threaded.k) and np.array_equal(serial.T, threaded.T)
+    assert all(map(np.array_equal, serial.block(0, len(serial)), threaded.block(0, len(threaded))))
     with pytest.raises(ModelError):
         spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 1)
 
@@ -242,26 +242,24 @@ def test_edge_wave_value_needs_a_finite_distance():
         wave.value(math.nan)
 
 
-def test_spectrum_arrays_are_read_only_and_match_samples():
+def test_spectrum_arrays_match_samples():
     spec = spectrum_scan(1.0, 1.0, 3, 0.1, 5.0, 257)
-    assert spec.k.dtype == spec.T.dtype == np.float64
-    for arr in (spec.k, spec.T):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-    assert np.array_equal(spec.k, np.linspace(0.1, 5.0, 257))
-    assert len(spec) == len(spec.T) == 257
+    k, T = spec.block(0, len(spec))
+    assert k.dtype == T.dtype == np.float64
+    assert np.array_equal(k, np.linspace(0.1, 5.0, 257))
+    assert len(spec) == len(T) == 257
 
 
 def test_spectrum_csv_matches_row_loop_across_blocks():
     # more rows than one formatting block, compared with the plain per-row loop
     spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, 3 * 2**16 + 5)
-    reference = "k,T\n" + "".join(f"{k!r},{T!r}\n" for k, T in zip(spec.k.tolist(), spec.T.tolist()))
+    ks, Ts = spec.block(0, len(spec))
+    reference = "k,T\n" + "".join(f"{k!r},{T!r}\n" for k, T in zip(ks.tolist(), Ts.tolist()))
     text = "".join(spectrum_csv_blocks(spec))
     assert text == reference
     rows = [line.split(",") for line in text.splitlines()[1:]]
-    assert np.array_equal([float(k) for k, _ in rows], spec.k)
-    assert np.array_equal([float(t) for _, t in rows], spec.T)
+    assert np.array_equal([float(k) for k, _ in rows], ks)
+    assert np.array_equal([float(t) for _, t in rows], Ts)
 
 
 @pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
@@ -269,10 +267,11 @@ def test_blockwise_scan_equals_whole_grid_kernel(n):
     # the kernel runs one block at a time; the values must not notice
     ks = np.linspace(0.1, 5.0, n)
     spec = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n)
-    assert np.array_equal(spec.k, ks)
-    assert np.array_equal(spec.T, _transmission_grid(2.5, 0.7, 5, ks))
+    k, T = spec.block(0, n)
+    assert np.array_equal(k, ks)
+    assert np.array_equal(T, _transmission_grid(2.5, 0.7, 5, ks))
     threaded = spectrum_scan(2.5, 0.7, 5, 0.1, 5.0, n, threads=2)
-    assert np.array_equal(threaded.k, spec.k) and np.array_equal(threaded.T, spec.T)
+    assert all(map(np.array_equal, threaded.block(0, n), (k, T)))
 
 
 def _brackets():
@@ -318,7 +317,7 @@ def test_spectrum_csv_is_the_joined_blocks():
     assert all(piece.endswith("\n") for piece in pieces[1:])
     rows = "".join(pieces[1:])
     assert rows.count("\n") == 2 * _BLOCK + 3
-    assert rows == "".join(f"{k!r},{t!r}\n" for k, t in zip(spec.k.tolist(), spec.T.tolist()))
+    assert rows == "".join(f"{k!r},{t!r}\n" for k, t in zip(*(a.tolist() for a in spec.block(0, len(spec)))))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -379,7 +378,8 @@ def test_wave_numbers_read_the_same_bits_from_any_real_type():
     assert GraphParams(1, 1, 3, 2).k == 2.0
     assert vertex_coin(1.0, np.float64(0.7), 1.0) == vertex_coin(1.0, 0.7, 1.0)
     assert find_resonances(1, 1, 3, np.float64(0.1), 5).roots == find_resonances(1, 1, 3, 0.1, 5).roots
-    assert spectrum_scan(1, 1, 3, 1, 5, 10).T.tobytes() == spectrum_scan(1, 1, 3, 1.0, 5.0, 10).T.tobytes()
+    ints, floats = (spectrum_scan(1, 1, 3, lo, hi, 10).block(0, 10)[1] for lo, hi in ((1, 5), (1.0, 5.0)))
+    assert ints.tobytes() == floats.tobytes()
 
 
 def test_numbers_too_large_for_a_float_are_not_finite():

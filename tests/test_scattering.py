@@ -2,6 +2,7 @@
 contracts they share."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -299,6 +300,17 @@ def test_flux_balance_margin_checks():
         flux_balance(prof, (2, 1))
 
 
+def test_probabilities_are_read_from_the_amplitudes():
+    # T and R are computed from t and r, not stored beside them
+    rng = np.random.default_rng(138)
+    cfg = random_config(rng, with_delta=True)
+    closed = solve_closed_form(cfg)
+    general, _ = solve_general({0: cfg.barrier, cfg.m: cfg.barrier}, cfg.delta, Injection.LEFT, cfg.p, cfg.q)
+    for sol in (closed, general):
+        assert (sol.T, sol.R) == (abs(sol.t) ** 2, abs(sol.r) ** 2)
+        assert "T" not in {f.name for f in dataclasses.fields(sol)}
+
+
 def test_profile_accessors():
     cfg = TunnelingConfig(p=0.1, q=0.2, barrier=hadamard(), m=1)
     prof = build_profile(solve_closed_form(cfg), cfg, (-3, 4))
@@ -337,6 +349,9 @@ def test_profile_csv_rejects_malformed():
     for row in ("abc,1,1,1,1,1", "0,zz,1,1,1,1"):
         with pytest.raises(ModelError, match="malformed number: " + repr(row)):
             profile_from_csv(good + row + "\n")
+    # nan and inf parse as floats; the profile once kept them, and profile_json raised a bare ValueError
+    with pytest.raises(ModelError, match="psi_l must hold finite numbers"):
+        profile_from_csv(good + "0,nan,0,inf,0,1\n")
 
 
 def _zero_profile(lo, hi):
@@ -348,6 +363,11 @@ def _zero_profile(lo, hi):
     [
         (lambda: AmplitudeProfile(1, 0, [], []), "window is empty"),
         (lambda: AmplitudeProfile(0, 2, [0j] * 3, [0j] * 2), "psi_r has 2 entries for a window of 3 sites"),
+        (lambda: AmplitudeProfile(0, 1, ["1", "2"], [0, 0]), "psi_l must hold finite numbers"),
+        (lambda: AmplitudeProfile(0, 1, [0, 0], [True, False]), "psi_r must hold finite numbers"),
+        (lambda: AmplitudeProfile(0, 1, [10**400, 0], [0, 0]), "psi_l must hold finite numbers"),
+        (lambda: AmplitudeProfile(0, 1, [0, 0], [math.nan, 0]), "psi_r must hold finite numbers"),
+        (lambda: AmplitudeProfile(0, 1, [1, math.inf], [0, 0]), "psi_l must hold finite numbers"),
         (lambda: solve_general({}, 0.0, Injection.LEFT, 0.1, 0.2), "at least one defect coin"),
         (lambda: solve_general({0.5: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got 0.5"),
         (lambda: solve_general({math.nan: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got nan"),
@@ -361,7 +381,8 @@ def _zero_profile(lo, hi):
         (lambda: solve_general({0: hadamard()}, 0.0, Injection.LEFT, True, 0.2), "p must be a number, got True"),
         (lambda: solve_general({True: hadamard()}, 0.0, Injection.LEFT, 0.1, 0.2), "position must be an integer, got True"),
     ],
-    ids=["empty-window", "wrong-length", "no-defects", "fractional-position", "nan-position", "inf-position",
+    ids=["empty-window", "wrong-length", "text-amplitudes", "bool-amplitudes", "huge-amplitude", "nan-amplitude",
+         "inf-amplitude", "no-defects", "fractional-position", "nan-position", "inf-position",
          "none-position", "not-a-coin", "disjoint-windows", "header-only", "text-phase", "bool-separation",
          "bool-phase", "bool-position"],
 )
